@@ -21,7 +21,7 @@ from wzernike.transform import (
     PolarSamples,
     analyze,
     build_quadrature,
-    disk_mask,
+    disk_pixels,
     polar_to_raster,
     raster_to_polar,
 )
@@ -51,7 +51,7 @@ def main():
 
     recon = polar_to_raster(coeffs, args.size, args.size, maxval=65535)
     write_pgm(outdir / "reconstruction.pgm", recon)
-    mask = disk_mask(args.size, args.size)
+    mask = disk_pixels(args.size, args.size)[0]
     a = img.pixels[mask] / img.maxval
     b = recon.pixels[mask] / recon.maxval
     rms = np.sqrt(np.mean((a - b) ** 2)) / np.sqrt(np.mean(a**2))

@@ -35,14 +35,14 @@ class Generator(Enum):
     V = "V"
 
 
-_RAISING = {Generator.A_PLUS, Generator.B_PLUS}
+RAISING = {Generator.A_PLUS, Generator.B_PLUS}
 _A_FAMILY = {Generator.A_PLUS, Generator.A_MINUS, Generator.A3, Generator.U}
 
 
 def apply_generator(g: Generator, f: CoeffField) -> CoeffField:
     """Apply one generator; raising grows the bandwidth by 1 exactly."""
     n = f.bandwidth
-    n_out = n + 1 if g in _RAISING else n
+    n_out = n + 1 if g in RAISING else n
     if n_out > BANDWIDTH_CAP:
         raise ValueError(f"bandwidth cap {BANDWIDTH_CAP} exceeded")
     out = np.zeros((n_out + 1, n_out + 1), dtype=complex)

@@ -32,6 +32,7 @@ from .transform import (
     PolarSamples,
     analyze,
     build_quadrature,
+    disk_pixels,
     polar_to_raster,
     raster_to_polar,
     synthesize_rphi,
@@ -41,6 +42,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VERIFY = 3
+
+DEFAULT_BANDWIDTH = 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,8 +57,10 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wzernike", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--bandwidth", type=int, default=16,
-                        help="default truncation bandwidth N (max u+v)")
+    parser.add_argument("--bandwidth", type=int, default=None,
+                        help="truncation bandwidth N (max u+v) for analyze, "
+                             f"default {DEFAULT_BANDWIDTH}; for verify, run "
+                             "the suite scaled to N instead of at full size")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress informational output")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -116,7 +121,7 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     img = wio.read_pgm(args.input)
-    n = args.bandwidth
+    n = DEFAULT_BANDWIDTH if args.bandwidth is None else args.bandwidth
     q = build_quadrature(n)
     samples = raster_to_polar(img, q)
     intensities = np.abs(samples.values) / img.maxval
@@ -145,12 +150,9 @@ def cmd_synthesize(args) -> int:
     coeffs = wio.read_coeffs(args.coeffs)
     if args.raw:
         size = args.size
-        x = (np.arange(size) + 0.5 - size / 2) / (size / 2)
-        xx, yy = np.meshgrid(x, x)
-        rr = np.hypot(xx, yy)
-        inside = rr <= 1.0
+        inside, r, phi = disk_pixels(size, size)
         vals = np.zeros((size, size), dtype=complex)
-        vals[inside] = synthesize_rphi(coeffs, rr[inside], np.arctan2(yy, xx)[inside])
+        vals[inside] = synthesize_rphi(coeffs, r, phi)
         with open(args.output, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row", "col", "re", "im", "abs"])
@@ -181,8 +183,7 @@ def cmd_norms(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scale = args.bandwidth if args.bandwidth != 16 else None
-    results = run_all(scale=scale, inject_fault=args.inject_fault)
+    results = run_all(scale=args.bandwidth, inject_fault=args.inject_fault)
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:

@@ -8,12 +8,13 @@ P2 (ASCII) and P5 (binary) with maxval up to 65535.
 
 from __future__ import annotations
 
+import cmath
 import io as _io
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import OperatorSpec, UEAMonomial
+from .algebra import BANDWIDTH_CAP, OperatorSpec, UEAMonomial
 from .transform import CoeffField, RasterImage
 
 COEFF_HEADER = "# zernike-coeffs bandwidth="
@@ -37,6 +38,10 @@ def read_coeffs(path: str | Path) -> CoeffField:
         if line.startswith("#"):
             if line.startswith(COEFF_HEADER):
                 bandwidth = int(line[len(COEFF_HEADER):])
+                if bandwidth > BANDWIDTH_CAP:
+                    raise ValueError(
+                        f"line {lineno}: bandwidth {bandwidth} exceeds the cap {BANDWIDTH_CAP}"
+                    )
             continue
         parts = line.split()
         if len(parts) != 4:
@@ -46,7 +51,10 @@ def read_coeffs(path: str | Path) -> CoeffField:
             raise ValueError(f"line {lineno}: negative mode index ({u}, {v})")
         if (u, v) in entries:
             raise ValueError(f"line {lineno}: duplicate mode ({u}, {v})")
-        entries[(u, v)] = complex(float(parts[2]), float(parts[3]))
+        c = complex(float(parts[2]), float(parts[3]))
+        if not cmath.isfinite(c):
+            raise ValueError(f"line {lineno}: non-finite coefficient at ({u}, {v})")
+        entries[(u, v)] = c
     if bandwidth is None:
         raise ValueError("missing `# zernike-coeffs bandwidth=N` header")
     return CoeffField.from_modes(entries, bandwidth=bandwidth)

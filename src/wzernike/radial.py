@@ -1,8 +1,12 @@
-"""Zernike radial polynomials R_n^m with exact integer coefficients.
+"""Zernike radial polynomials R_n^m: one recurrence kernel, one exact oracle.
 
-Coefficients are built with exact integer binomials and converted to float
-once; evaluation is Horner in t = r**2 on the even/odd-compressed form.
-An independent Jacobi three-term-recurrence evaluator serves as oracle.
+Every production evaluation goes through `radial_family`, which runs the
+Jacobi three-term recurrence in degree for one azimuthal order m and
+yields R_m^m, R_{m+2}^m, ... (divided by r^m) over a whole point set in
+one pass.  `build_radial` keeps the explicit integer binomial
+coefficients; they pass 2**53 at n = 46, so they are never evaluated in
+floating point, only exactly, at dyadic radii, by the oracle
+`radial_exact`.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# Beyond this degree the direct expansion conditioning degrades and image
-# work never needs it.
+# Highest degree accepted anywhere; the acceptance checks cover every
+# degree up to it, and image work never needs more.
 N_MAX = 60
 
 
@@ -71,80 +75,73 @@ def build_radial(index: RadialIndex) -> RadialPolynomial:
     return RadialPolynomial(index=RadialIndex(n, m), coeffs=coeffs)
 
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
+def radial_family(m: int, n_max: int, r):
+    """Yield (n, R_n^m(r) / r^m) for n = m, m+2, ..., up to n_max.
 
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    p = a * b
-    c = _SPLITTER * a
-    ah = c - (c - a)
-    al = a - ah
-    c = _SPLITTER * b
-    bh = c - (c - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _comp_horner(coeffs: tuple[int, ...], t: np.ndarray) -> np.ndarray:
-    """Compensated Horner: twice-working-precision result.
-
-    The signed binomial coefficients cancel massively near t = 1 (condition
-    number ~1e13 at n = 40), so plain double Horner cannot meet the oracle
-    tolerance; tracking the exact rounding residue of every step restores it.
+    R_n^m(r) = r^m P_s^(0,m)(2 r**2 - 1) with s = (n - m)/2, so one pass of
+    the Jacobi three-term recurrence in s (Abramowitz & Stegun 22.7.1 with
+    alpha = 0, beta = m) gives every radial polynomial of order m.  The
+    factor r^m is left to the caller, which applies it once per order.
+    Up to N_MAX the rows agree with the exact oracle `radial_exact` to
+    4e-15.  The recurrence reads each yielded array again for the next
+    rows, so callers must not modify them.
     """
-    acc = np.full_like(t, float(coeffs[0]))
-    err = np.zeros_like(t)
-    for c in coeffs[1:]:
-        p, pe = _two_prod(acc, t)
-        acc, se = _two_sum(p, float(c))
-        err = err * t + (pe + se)
-    return acc + err
+    m = abs(m)
+    s_max = (n_max - m) // 2
+    if s_max < 0:
+        return
+    validate_index(m + 2 * s_max, m)
+    y = 2.0 * np.asarray(r, dtype=float) ** 2 - 1.0
+    if np.any(y > 1.0):
+        raise ValueError("radius out of domain: |r| <= 1 required")
+    p_prev = np.ones_like(y)
+    yield m, p_prev
+    if s_max == 0:
+        return
+    p = ((m + 2) * y - m) / 2
+    yield m + 2, p
+    for k in range(2, s_max + 1):
+        c1 = 2 * k * (k + m) * (2 * k + m - 2)
+        c2 = 2 * k + m - 1
+        c3 = (2 * k + m) * (2 * k + m - 2)
+        c4 = 2 * (k - 1) * (k + m - 1) * (2 * k + m)
+        # Integer constants keep every step exact at r = 1, where P = 1.
+        nxt = c2 * c3 * y
+        nxt -= c2 * m * m
+        nxt *= p
+        nxt -= c4 * p_prev
+        nxt /= c1
+        p, p_prev = nxt, p
+        yield m + 2 * k, p
 
 
 def radial_eval(poly: RadialPolynomial, r):
-    """Evaluate R_n^m at r in [-1, 1] (scalar or ndarray) by Horner in t = r**2."""
+    """Evaluate R_n^m at r in [-1, 1] (scalar or ndarray): the last row of
+    radial_family times r^|m|."""
     r = np.asarray(r, dtype=float)
-    if np.any(np.abs(r) > 1):
-        raise ValueError("radius out of domain: |r| <= 1 required")
-    t = r * r
-    acc = _comp_horner(poly.coeffs, t)
-    m = abs(poly.index.m)
-    val = acc * r**m if m else acc
-    return val if val.ndim else float(val)
+    n, m = poly.index.n, abs(poly.index.m)
+    for _, row in radial_family(m, n, r):
+        pass
+    val = row * r**m if m else row
+    return val if np.ndim(val) else float(val)
 
 
-def radial_eval_jacobi(index: RadialIndex, r):
-    """Independent oracle: (-1)^s r^|m| P_s^(|m|,0)(1 - 2 r**2), s = (n-|m|)/2.
+def radial_exact(poly: RadialPolynomial, k: int, j: int) -> float:
+    """R_n^m(k / 2**j) from the integer coefficients in exact arithmetic.
 
-    Uses the standard three-term Jacobi recurrence; disagreement with
-    radial_eval beyond tolerance is a build-failing event.
+    Horner in t = r**2 over the common denominator 2**(j n), all in Python
+    ints; the final int / int division is correctly rounded.  This is the
+    oracle for radial_family: it shares no arithmetic with it.
     """
-    r = np.asarray(r, dtype=float)
-    if np.any((r < 0) | (r > 1)):
-        raise ValueError("radius out of domain: 0 <= r <= 1 required")
-    n, m = index.n, abs(index.m)
-    s = (n - m) // 2
-    a = m
-    x = 1.0 - 2.0 * r * r
-    p_prev = np.ones_like(x)
-    if s == 0:
-        p = p_prev
-    else:
-        p = 0.5 * a + 0.5 * (a + 2) * x
-        for k in range(2, s + 1):
-            c1 = 2 * k * (k + a) * (2 * k + a - 2)
-            c2 = 2 * k + a - 1
-            c3 = (2 * k + a) * (2 * k + a - 2)
-            c4 = 2 * (k + a - 1) * (k - 1) * (2 * k + a)
-            p, p_prev = (c2 * (c3 * x + a * a) * p - c4 * p_prev) / c1, p
-    val = (-1) ** s * r**m * p if m else (-1) ** s * p
-    return val if val.ndim else float(val)
+    if not 0 <= k <= 1 << j:
+        raise ValueError("radius out of domain: 0 <= k / 2**j <= 1 required")
+    n, m = poly.index.n, abs(poly.index.m)
+    k2, d = k * k, 1 << (2 * j)
+    acc, dj = 0, 1
+    for c in poly.coeffs:
+        acc = acc * k2 + c * dj
+        dj *= d
+    return acc * k**m / (1 << (j * n))
 
 
 def recurrence_coefficients(n: int, m: int) -> tuple[float, float]:
@@ -152,8 +149,9 @@ def recurrence_coefficients(n: int, m: int) -> tuple[float, float]:
     return (n + m + 2) / (2 * (n + 1)), (n - m) / (2 * (n + 1))
 
 
-def recurrence_residual(index: RadialIndex, r: float) -> float:
-    """Residual of the degree-mixing identity; exact up to rounding.
+def recurrence_residual(index: RadialIndex, r):
+    """Residual of the degree-mixing identity at r (scalar or ndarray);
+    exact up to rounding.
 
     At n = m the lower term vanishes (b = 0) and (n-1, m+1) is skipped.
     """

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .algebra import Generator, apply_generator, apply_p
+from .algebra import RAISING, Generator, apply_generator, apply_p
 from .transform import CoeffField, build_quadrature, synthesize_on
 
 # (u+v+1)^16 at bandwidth 12 is still comfortably inside double range;
@@ -71,9 +71,16 @@ def continuity_report(f: CoeffField, index_max: int = 3) -> NormReport:
     """Evaluate the continuity and pointwise bounds on one field.
 
     Checks, for p, r = 0..index_max:
-      ||Uf||_p <= ||f||_{p+1} and the same for V, A+, A-, B+, B-;
+      ||Uf||_p <= ||f||_{p+1} and the same for V, A-, B-;
+      ||A+ f||_p <= 2^p ||f||_{p+1} and the same for B+;
       ||Pf||_{1,r} <= (2^r + 1) ||f||_{1,r};
       max |f(r, phi)| over a fixed quadrature grid <= ||f||_{1,1} / sqrt(pi).
+
+    Every bound holds for every field.  U, V, A- and B- multiply f_{u,v}
+    by at most n+1 = u+v+1 and keep or lower the degree.  A+ sends f_{u,v}
+    to (u+1) f_{u,v} at degree n+1, and n+2 <= 2(n+1), so its weight
+    (u+1)(n+2)^p is at most 2^p (n+1)^(p+1); the unit (0,0) field attains
+    it.  B+ is the same with v.
     """
     checks: list[BoundCheck] = []
     diagonal_and_ladders = (
@@ -84,9 +91,11 @@ def continuity_report(f: CoeffField, index_max: int = 3) -> NormReport:
     for g in diagonal_and_ladders:
         gf = apply_generator(g, f)
         for p in range(index_max + 1):
+            factor = 2**p if g in RAISING else 1
+            scale = f"{factor} " if factor > 1 else ""
             checks.append(
-                BoundCheck(f"||{g.value} f||_{p} <= ||f||_{p + 1}",
-                           norm_p(gf, p), norm_p(f, p + 1))
+                BoundCheck(f"||{g.value} f||_{p} <= {scale}||f||_{p + 1}",
+                           norm_p(gf, p), factor * norm_p(f, p + 1))
             )
     pf = apply_p(f)
     for r in range(index_max + 1):

@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import modes_upto, w_bound, w_eval_grid
-from .radial import RadialIndex, build_radial, radial_eval
+from .basis import ModeIndex, modes_upto, w_bound
+from .radial import radial_family
 
 TWO_PI = 2.0 * math.pi
 
@@ -178,11 +178,22 @@ class PolarSamples:
 
 
 def _basis_on(q: DiskQuadrature, bandwidth: int) -> np.ndarray:
-    """Stacked W_{u,v} values on a quadrature grid, mode order as modes_upto."""
-    modes = modes_upto(bandwidth)
-    out = np.empty((len(modes), q.n_radial, q.n_angular), dtype=complex)
-    for i, mode in enumerate(modes):
-        out[i] = w_eval_grid(mode, q.r, q.phi)
+    """Stacked W_{u,v} values on a quadrature grid, mode order as modes_upto.
+
+    One radial_family pass per order |m| fills both W_{u,v} and W_{v,u}.
+    """
+    out = np.empty(((bandwidth + 1) * (bandwidth + 2) // 2, q.n_radial, q.n_angular),
+                   dtype=complex)
+    for m in range(bandwidth + 1):
+        rm = q.r**m
+        ang, ang_minus = np.exp(1j * m * q.phi), np.exp(-1j * m * q.phi)
+        for n, row in radial_family(m, bandwidth, q.r):
+            u, v = (n + m) // 2, (n - m) // 2
+            rad = w_bound(ModeIndex(u, v)) * rm * row
+            base = n * (n + 1) // 2  # index of (0, n) in modes_upto order
+            out[base + u] = np.multiply.outer(rad, ang)
+            if m:
+                out[base + v] = np.multiply.outer(rad, ang_minus)
     return out
 
 
@@ -230,16 +241,42 @@ def synthesize(coeffs: CoeffField, points) -> np.ndarray:
 
 
 def synthesize_rphi(coeffs: CoeffField, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Pointwise synthesis on paired (r, phi) arrays of equal shape."""
+    """Pointwise synthesis on paired (r, phi) arrays of equal shape.
+
+    Grouped by order |m|: one radial_family pass accumulates
+    sum_s f_{u,v} sqrt((n+1)/pi) R_n^m / r^m for u - v = +m and for -m,
+    and each sum is then multiplied once by (r e^{+-i phi})^m.  Memory
+    stays O(points); orders and degrees above the last nonzero
+    coefficient are never evaluated.
+    """
     r, phi = np.broadcast_arrays(np.asarray(r, float), np.asarray(phi, float))
     out = np.zeros(r.shape, dtype=complex)
-    for mode in modes_upto(coeffs.bandwidth):
-        c = coeffs.values[mode.u, mode.v]
-        if c == 0:
+    vals = coeffs.values
+    z = r * np.exp(1j * phi)
+    zm = np.ones(r.shape, dtype=complex)
+    for m in range(coeffs.bandwidth + 1):
+        if m:
+            # r^m e^{i m phi} to a few ulp per order, as close as
+            # exp(1j * m * phi) itself, whose argument m * phi is rounded.
+            zm *= z
+        plus = np.diagonal(vals, -m)  # f_{v+m, v}
+        minus = np.diagonal(vals, m)  # f_{v, v+m}
+        nonzero = np.flatnonzero((plus != 0) | (minus != 0))
+        if not nonzero.size:
             continue
-        m = mode.u - mode.v
-        rad = radial_eval(build_radial(RadialIndex(mode.degree, m)), r)
-        out = out + c * w_bound(mode) * rad * np.exp(1j * m * phi)
+        acc_plus = np.zeros(r.shape, dtype=complex)
+        acc_minus = np.zeros(r.shape, dtype=complex)
+        for n, row in radial_family(m, m + 2 * nonzero[-1], r):
+            v = (n - m) // 2
+            w = w_bound(ModeIndex(v + m, v))
+            if plus[v] != 0:
+                acc_plus += (w * plus[v]) * row
+            if m and minus[v] != 0:
+                acc_minus += (w * minus[v]) * row
+        if m:
+            acc_plus *= zm
+            acc_plus += acc_minus * np.conj(zm)
+        out += acc_plus
     return out
 
 
@@ -310,6 +347,23 @@ def raster_to_polar(img: RasterImage, q: DiskQuadrature) -> PolarSamples:
     return PolarSamples(q, _bilinear(img, rr, yy))
 
 
+def disk_pixels(width: int, height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pixel centres inside the inscribed disk of a width x height raster.
+
+    Returns the boolean (height, width) mask and, at the masked pixels in
+    row-major order, the polar coordinates (r, phi) of their centres in
+    units of the disk radius.
+    """
+    cx, cy = width / 2.0, height / 2.0
+    radius = min(width, height) / 2.0
+    x = (np.arange(width) + 0.5 - cx) / radius
+    y = (np.arange(height) + 0.5 - cy) / radius
+    xx, yy = np.meshgrid(x, y)
+    rr = np.hypot(xx, yy)
+    inside = rr <= 1.0
+    return inside, rr[inside], np.arctan2(yy, xx)[inside]
+
+
 def polar_to_raster(coeffs: CoeffField, width: int, height: int,
                     maxval: int = 255, normalize: bool = True) -> RasterImage:
     """Render |synthesize| on the inscribed disk; outside pixels are 0.
@@ -319,29 +373,12 @@ def polar_to_raster(coeffs: CoeffField, width: int, height: int,
     """
     if width < 1 or height < 1:
         raise ValueError("raster size must be at least 1x1")
-    cx, cy = width / 2.0, height / 2.0
-    radius = min(width, height) / 2.0
-    x = (np.arange(width) + 0.5 - cx) / radius
-    y = (np.arange(height) + 0.5 - cy) / radius
-    xx, yy = np.meshgrid(x, y)
-    rr = np.hypot(xx, yy)
-    inside = rr <= 1.0
+    inside, r, phi = disk_pixels(width, height)
     out = np.zeros((height, width))
     if inside.any():
-        vals = synthesize_rphi(coeffs, rr[inside], np.arctan2(yy, xx)[inside])
-        out[inside] = np.abs(vals)
+        out[inside] = np.abs(synthesize_rphi(coeffs, r, phi))
     if normalize:
         peak = out.max()
         if peak > 0:
             out *= maxval / peak
     return RasterImage(width=width, height=height, pixels=out, maxval=maxval)
-
-
-def disk_mask(width: int, height: int) -> np.ndarray:
-    """Boolean mask of pixel centers inside the inscribed disk."""
-    cx, cy = width / 2.0, height / 2.0
-    radius = min(width, height) / 2.0
-    x = (np.arange(width) + 0.5 - cx) / radius
-    y = (np.arange(height) + 0.5 - cy) / radius
-    xx, yy = np.meshgrid(x, y)
-    return np.hypot(xx, yy) <= 1.0

@@ -6,6 +6,7 @@ a human-readable report.  The same checks back `wzernike verify`.
 """
 
 from wzernike import selfcheck as sc
+from wzernike.radial import N_MAX
 
 
 def _gate(number, result):
@@ -23,19 +24,19 @@ def test_criterion_02_gram_identity():
 
 
 def test_criterion_03_radial_orthogonality():
-    _gate(3, sc.check_radial_orthogonality(m_max=8, n_max=20, tol=1e-12))
+    _gate(3, sc.check_radial_orthogonality(m_max=N_MAX, n_max=N_MAX, tol=1e-12))
 
 
 def test_criterion_04_unit_normalization():
-    _gate(4, sc.check_normalization(n_max=40))
+    _gate(4, sc.check_normalization(n_max=N_MAX))
 
 
 def test_criterion_05_oracle_agreement():
-    _gate(5, sc.check_oracle_agreement(n_max=40, tol=1e-10))
+    _gate(5, sc.check_oracle_agreement(n_max=N_MAX, tol=1e-10))
 
 
 def test_criterion_06_degree_mixing_recurrence():
-    _gate(6, sc.check_recurrence(n_max=20, tol=1e-13))
+    _gate(6, sc.check_recurrence(n_max=N_MAX - 1, tol=1e-13))
 
 
 def test_criterion_07_commutators_and_casimir():

@@ -5,7 +5,8 @@ import pytest
 
 from wzernike.cli import main
 from wzernike.io import read_coeffs, write_coeffs, write_pgm
-from wzernike.transform import CoeffField, disk_mask, polar_to_raster
+from wzernike.selfcheck import CheckResult
+from wzernike.transform import CoeffField, disk_pixels, polar_to_raster
 
 
 def run(*argv):
@@ -94,7 +95,7 @@ class TestSynthesize:
         from wzernike.io import read_pgm
 
         img = read_pgm(out)
-        mask = disk_mask(32, 32)
+        mask = disk_pixels(32, 32)[0]
         assert np.all(img.pixels[mask] == 255)
         assert np.all(img.pixels[~mask] == 0)
 
@@ -107,6 +108,27 @@ class TestSynthesize:
         lines = out.read_text().splitlines()
         assert lines[0] == "row,col,re,im,abs"
         assert len(lines) == 65
+
+
+class TestBadCoeffFiles:
+    def _apply(self, tmp_path, text):
+        coeffs = tmp_path / "bad.coeffs"
+        coeffs.write_text(text)
+        spec = tmp_path / "id.spec"
+        spec.write_text("1.0 0.0 0 0 0 0 0 0\n")
+        return run("--quiet", "apply", "--coeffs", str(coeffs), "--spec", str(spec),
+                   "--output", str(tmp_path / "out.coeffs"))
+
+    def test_non_finite_coefficient_is_data_error(self, tmp_path, capsys):
+        for value in ("nan 0.0", "0.0 inf", "-inf 1.0"):
+            text = f"# zernike-coeffs bandwidth=1\n0 0 1.0 0.0\n1 0 {value}\n"
+            assert self._apply(tmp_path, text) == 2
+            assert "non-finite" in capsys.readouterr().err
+
+    def test_bandwidth_above_cap_is_data_error(self, tmp_path, capsys):
+        assert self._apply(tmp_path, "# zernike-coeffs bandwidth=200000\n0 0 1.0 0.0\n") == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+        assert not (tmp_path / "out.coeffs").exists()
 
 
 class TestAnalyzeRoundtrip:
@@ -154,6 +176,14 @@ class TestNorms:
         assert rows[2][:2] == ["1", "4"]  # p = 1 row of the norm table
         assert rows[3][:2] == ["2", "16"]
 
+    def test_unit_ground_mode_passes_all_bounds(self, tmp_path, capsys):
+        # ||A+ f||_p = 2^p ||f||_(p+1) here: the raising bounds are tight.
+        coeffs = tmp_path / "f.coeffs"
+        coeffs.write_text("# zernike-coeffs bandwidth=0\n0 0 1.0 0.0\n")
+        assert run("norms", "--coeffs", str(coeffs)) == 0
+        bounds = capsys.readouterr().out.split("\n\n", 1)[1].strip().splitlines()
+        assert bounds and all(line.split()[-1] == "pass" for line in bounds)
+
     def test_random_field_passes_all_bounds(self, tmp_path, capsys):
         rng = np.random.default_rng(55)
         vals = np.zeros((7, 7), dtype=complex)
@@ -171,6 +201,22 @@ class TestVerify:
         assert run("--bandwidth", "3", "verify") == 0
         out = capsys.readouterr().out
         assert out.strip().endswith("15/15 checks passed")
+
+    def test_bandwidth_26_passes_up_to_degree_52(self, capsys):
+        assert run("--bandwidth", "26", "--quiet", "verify") == 0
+        assert capsys.readouterr().out.strip().endswith("15/15 checks passed")
+
+    def test_bandwidth_16_means_scaled_suite(self, monkeypatch, capsys):
+        scales = []
+
+        def fake_run_all(scale=None, inject_fault=False):
+            scales.append(scale)
+            return [CheckResult("stub", True, "")]
+
+        monkeypatch.setattr("wzernike.cli.run_all", fake_run_all)
+        assert run("--bandwidth", "16", "verify") == 0
+        assert run("verify") == 0
+        assert scales == [16, None]
 
     def test_injected_fault_fails(self, capsys):
         assert run("--bandwidth", "2", "--quiet", "verify",

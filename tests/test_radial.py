@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wzernike.radial import (
+    N_MAX,
     RadialIndex,
     build_radial,
     ode_residual,
     radial_eval,
-    radial_eval_jacobi,
+    radial_exact,
+    radial_family,
     recurrence_coefficients,
     recurrence_residual,
 )
@@ -60,7 +62,7 @@ class TestBuild:
         assert all(e % 2 == 1 for e in poly.exponents)
 
     def test_unit_at_one_exact(self):
-        for n, m in valid_indices(40):
+        for n, m in valid_indices(N_MAX):
             assert sum(build_radial(RadialIndex(n, m)).coeffs) == 1
 
 
@@ -104,29 +106,44 @@ class TestEval:
 
 
 class TestJacobiOracle:
+    """The recurrence against exact integer evaluation at dyadic radii."""
+
     def test_constant(self):
-        for r in (0.0, 0.3, 1.0):
-            assert radial_eval_jacobi(RadialIndex(0, 0), r) == 1.0
+        for k in (0, 19, 64):
+            assert radial_exact(build_radial(RadialIndex(0, 0)), k, 6) == 1.0
 
     def test_matches_explicit_value(self):
-        assert radial_eval_jacobi(RadialIndex(4, 2), 0.5) == pytest.approx(-0.5, abs=1e-14)
+        assert radial_exact(build_radial(RadialIndex(4, 2)), 1, 1) == -0.5
 
     def test_cross_oracle_agreement(self):
-        idx = RadialIndex(10, 4)
-        a = radial_eval(build_radial(idx), 0.3)
-        b = radial_eval_jacobi(idx, 0.3)
+        poly = build_radial(RadialIndex(10, 4))
+        a = radial_eval(poly, 19 / 64)
+        b = radial_exact(poly, 19, 6)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
     def test_grid_agreement_high_degree(self):
-        grid = np.linspace(0, 1, 101)
-        for n, m in valid_indices(24):
-            a = radial_eval(build_radial(RadialIndex(n, m)), grid)
-            b = radial_eval_jacobi(RadialIndex(n, m), grid)
+        grid = np.arange(33) / 32
+        for n, m in valid_indices(N_MAX):
+            poly = build_radial(RadialIndex(n, m))
+            a = radial_eval(poly, grid)
+            b = np.array([radial_exact(poly, k, 5) for k in range(33)])
             assert np.max(np.abs(a - b) / np.maximum(1, np.abs(b))) <= 1e-10
 
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError, match="domain"):
-            radial_eval_jacobi(RadialIndex(2, 0), -0.1)
+            radial_exact(build_radial(RadialIndex(2, 0)), -1, 4)
+
+    def test_family_yields_every_degree_of_the_order(self):
+        r = np.arange(9) / 8
+        rows = list(radial_family(3, 12, r))
+        assert [n for n, _ in rows] == [3, 5, 7, 9, 11]
+        for n, row in rows:
+            exact = [radial_exact(build_radial(RadialIndex(n, 3)), k, 3) for k in range(9)]
+            assert np.max(np.abs(row * r**3 - exact)) <= 1e-14
+
+    def test_family_enforces_degree_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            list(radial_family(0, N_MAX + 2, np.array([0.5])))
 
 
 class TestRecurrence:

@@ -12,7 +12,7 @@ from wzernike.transform import (
     _bilinear,
     analyze,
     build_quadrature,
-    disk_mask,
+    disk_pixels,
     inner_product,
     max_abs_diff,
     parseval_gap,
@@ -210,7 +210,7 @@ class TestRaster:
 
     def test_render_ground_mode_uniform(self):
         img = polar_to_raster(CoeffField.basis(0, 0), 32, 32, maxval=255)
-        mask = disk_mask(32, 32)
+        mask = disk_pixels(32, 32)[0]
         assert np.all(img.pixels[mask] == pytest.approx(255.0))
         assert np.all(img.pixels[~mask] == 0.0)
 
@@ -220,7 +220,7 @@ class TestRaster:
 
     def test_render_unnormalized(self):
         img = polar_to_raster(CoeffField.basis(0, 0), 8, 8, normalize=False)
-        mask = disk_mask(8, 8)
+        mask = disk_pixels(8, 8)[0]
         assert np.all(img.pixels[mask] == pytest.approx(1 / math.sqrt(math.pi)))
 
 
@@ -236,3 +236,32 @@ class TestSynthesizeRphi:
             p = DiskPoint(float(r[i]), float(phi[i]))
             want = 2.0 * w_eval(ModeIndex(1, 0), p) + 1j * w_eval(ModeIndex(0, 2), p)
             assert got[i] == pytest.approx(want)
+
+    def test_dense_field_matches_per_mode_sum(self):
+        # Reference: one w_eval per mode; the grouped recurrence reorders
+        # the sums, so agreement is to rounding, relative to sum |f| |W|.
+        from wzernike.basis import w_bound, w_eval
+
+        rng = np.random.default_rng(21)
+        f = random_field(rng, 12)
+        vals = f.values.copy()
+        vals[3, 5] = vals[0, 7] = 0  # zero modes are skipped
+        f = CoeffField(12, vals)
+        r = rng.uniform(0.0, 1.0, 40)
+        phi = rng.uniform(0.0, 2 * math.pi, 40)
+        got = synthesize_rphi(f, r, phi)
+        scale = sum(abs(c) * w_bound(ModeIndex(u, v)) for u, v, c in f.iter_modes())
+        for i in range(40):
+            p = DiskPoint(float(r[i]), float(phi[i]))
+            want = sum(c * w_eval(ModeIndex(u, v), p) for u, v, c in f.iter_modes())
+            assert abs(got[i] - want) <= 1e-14 * scale
+
+    def test_degree_cap_and_domain_still_enforced(self):
+        over = CoeffField.from_modes({(0, 0): 1.0, (31, 30): 1.0})
+        with pytest.raises(ValueError, match="degree cap exceeded: n=61"):
+            synthesize_rphi(over, np.array([0.5]), np.array([0.0]))
+        padded = CoeffField.from_modes({(1, 0): 1.0}, bandwidth=70)
+        got = synthesize_rphi(padded, np.array([1.0]), np.array([0.0]))
+        assert got[0] == pytest.approx(math.sqrt(2 / math.pi))
+        with pytest.raises(ValueError, match="domain"):
+            synthesize_rphi(padded, np.array([1.5]), np.array([0.0]))
