@@ -241,17 +241,21 @@ def commutator_residual(x: Generator, y: Generator, f: CoeffField) -> float:
     return float(np.max(np.abs(diff.values)))
 
 
+def _family_generators(family: str) -> tuple[Generator, Generator, Generator]:
+    """The (raising, lowering, diagonal) generators of family 'A' or 'B'."""
+    if family == "A":
+        return Generator.A_PLUS, Generator.A_MINUS, Generator.A3
+    if family == "B":
+        return Generator.B_PLUS, Generator.B_MINUS, Generator.B3
+    raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+
+
 def casimir_apply(family: str, f: CoeffField) -> CoeffField:
     """X3^2 - (X+ X- + X- X+)/2, composed from generator applications.
 
     Returns -f/4 for every input: the j = 1/2 discrete-series eigenvalue.
     """
-    if family == "A":
-        plus, minus, diag = Generator.A_PLUS, Generator.A_MINUS, Generator.A3
-    elif family == "B":
-        plus, minus, diag = Generator.B_PLUS, Generator.B_MINUS, Generator.B3
-    else:
-        raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+    plus, minus, diag = _family_generators(family)
     d2 = apply_generator(diag, apply_generator(diag, f))
     pm = apply_generator(plus, apply_generator(minus, f))
     mp = apply_generator(minus, apply_generator(plus, f))
@@ -266,12 +270,7 @@ def group_exponential(family: str, params: tuple[float, float, float],
     """
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    if family == "A":
-        plus, minus, diag = Generator.A_PLUS, Generator.A_MINUS, Generator.A3
-    elif family == "B":
-        plus, minus, diag = Generator.B_PLUS, Generator.B_MINUS, Generator.B3
-    else:
-        raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+    plus, minus, diag = _family_generators(family)
     a1, a2, a3 = params
 
     def x_apply(g: CoeffField) -> CoeffField:

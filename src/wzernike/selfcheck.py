@@ -45,7 +45,6 @@ from .transform import (
     analyze,
     build_quadrature,
     disk_pixels,
-    inner_product,
     max_abs_diff,
     parseval_gap,
     polar_to_raster,
@@ -96,13 +95,13 @@ def check_worked_operator_example() -> CheckResult:
 
 
 def check_gram(bandwidth: int = 16, tol: float = 1e-10) -> CheckResult:
+    """Every quadrature inner product <W_a, W_b>, as one weighted matrix product."""
     q = build_quadrature(bandwidth)
     modes = modes_upto(bandwidth)
-    samples = [PolarSamples(q, w_eval_grid(m, q.r, q.phi)) for m in modes]
-    worst = 0.0
-    for i, a in enumerate(samples):
-        for j, b in enumerate(samples):
-            worst = max(worst, abs(inner_product(a, b, q) - (1.0 if i == j else 0.0)))
+    grids = np.stack([w_eval_grid(m, q.r, q.phi) for m in modes]).reshape(len(modes), -1)
+    weights = np.repeat(q.w * q.angular_weight, q.n_angular)
+    gram = (np.conj(grids) * weights) @ grids.T
+    worst = float(np.max(np.abs(gram - np.eye(len(modes)))))
     return _result(f"orthonormality Gram, {len(modes)} modes u+v<={bandwidth}", worst, tol)
 
 

@@ -4,20 +4,24 @@ The radial rule is Gauss-Legendre in t = r**2, so every retained mode
 product is a polynomial the rule integrates exactly; the angular rule is
 the uniform trapezoid, which annihilates every aliased harmonic for
 M > 2N.  Orthonormality and Parseval therefore hold to rounding.
+
+W_{u,v} is a radial factor times e^{i(u-v)phi}, so on the uniform
+angular grid the transform separates (Janssen & Dirksen, JEOS 2007):
+`analyze` is one FFT along phi, then per azimuthal order m one product
+of the bins +m and -m with a small real radial table; `synthesize_on`
+runs the same steps backwards.  The table, sqrt((n+1)/pi) R_n^m at the
+radial nodes, is the only cached state, kept in a bounded cache.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .basis import ModeIndex, modes_upto, w_bound
+from .basis import TWO_PI, ModeIndex, modes_upto, w_bound
 from .radial import radial_family
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -177,36 +181,39 @@ class PolarSamples:
             raise ValueError(f"sample shape {vals.shape} != quadrature grid {expected}")
 
 
-def _basis_on(q: DiskQuadrature, bandwidth: int) -> np.ndarray:
-    """Stacked W_{u,v} values on a quadrature grid, mode order as modes_upto.
+@lru_cache(maxsize=8)
+def _radial_table(q_bandwidth: int, bandwidth: int) -> np.ndarray:
+    """sqrt((n+1)/pi) R_n^m at the radial nodes of build_quadrature(q_bandwidth).
 
-    One radial_family pass per order |m| fills both W_{u,v} and W_{v,u}.
+    table[m, s, j] holds the radial factor of W_{s+m,s} and W_{s,s+m}
+    (degree n = m + 2s) at r_j, one radial_family pass per order m; rows
+    with n > bandwidth are zero.  About 0.9 MB at bandwidth 60.
     """
-    out = np.empty(((bandwidth + 1) * (bandwidth + 2) // 2, q.n_radial, q.n_angular),
-                   dtype=complex)
+    r = build_quadrature(q_bandwidth).r
+    table = np.zeros((bandwidth + 1, bandwidth // 2 + 1, len(r)))
     for m in range(bandwidth + 1):
-        rm = q.r**m
-        ang, ang_minus = np.exp(1j * m * q.phi), np.exp(-1j * m * q.phi)
-        for n, row in radial_family(m, bandwidth, q.r):
-            u, v = (n + m) // 2, (n - m) // 2
-            rad = w_bound(ModeIndex(u, v)) * rm * row
-            base = n * (n + 1) // 2  # index of (0, n) in modes_upto order
-            out[base + u] = np.multiply.outer(rad, ang)
-            if m:
-                out[base + v] = np.multiply.outer(rad, ang_minus)
-    return out
+        rm = r**m
+        for n, row in radial_family(m, bandwidth, r):
+            s = (n - m) // 2
+            table[m, s] = w_bound(ModeIndex(s + m, s)) * rm * row
+    table.flags.writeable = False
+    return table
 
 
-@lru_cache(maxsize=None)
-def _basis_cached(q_bandwidth: int, bandwidth: int) -> np.ndarray:
-    return _basis_on(build_quadrature(q_bandwidth), bandwidth)
+def _orders(bandwidth: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, s) for every m + 2s <= bandwidth: the modes (s+m, s) and (s, s+m)."""
+    m, s = np.indices((bandwidth + 1, bandwidth // 2 + 1))
+    keep = m + 2 * s <= bandwidth
+    return m[keep], s[keep]
 
 
 def analyze(samples: PolarSamples, q: DiskQuadrature, bandwidth: int) -> CoeffField:
     """Project samples onto the modes with u+v <= bandwidth.
 
     f_{u,v} = sum_jk w_j (2 pi / M) conj(W_{u,v}(r_j, phi_k)) s_{jk}; exact
-    for sample sets generated from a field of compatible bandwidth.
+    for sample sets generated from a field of compatible bandwidth.  The
+    sum over k is bin (u - v) mod M of an FFT along phi; the sum over j is
+    one product with the radial table per order.
     """
     if samples.quadrature is not q and (
         samples.quadrature.n_radial != q.n_radial
@@ -217,20 +224,44 @@ def analyze(samples: PolarSamples, q: DiskQuadrature, bandwidth: int) -> CoeffFi
         raise ValueError(
             f"bandwidth {bandwidth} exceeds quadrature exactness {q.bandwidth}"
         )
-    basis = _basis_cached(q.bandwidth, bandwidth)
-    weighted = samples.values * q.w[:, None] * q.angular_weight
-    coeffs = np.tensordot(np.conj(basis), weighted, axes=([1, 2], [0, 1]))
+    table = _radial_table(q.bandwidth, bandwidth)
+    spectrum = np.fft.fft(samples.values * (q.w * q.angular_weight)[:, None], axis=1)
+    order = np.arange(bandwidth + 1)
+    # angular[m, j] = (bin +m, bin -m) as four reals, so the real table
+    # multiplies it without a complex copy of itself.
+    columns = np.stack((order, -order % q.n_angular), axis=1)
+    angular = np.ascontiguousarray(np.moveaxis(spectrum[:, columns], 0, 1))
+    proj = np.matmul(table, angular.view(float)).view(complex)
+    m, s = _orders(bandwidth)
     vals = np.zeros((bandwidth + 1, bandwidth + 1), dtype=complex)
-    for i, mode in enumerate(modes_upto(bandwidth)):
-        vals[mode.u, mode.v] = coeffs[i]
+    vals[s + m, s] = proj[m, s, 0]
+    vals[s, s + m] = proj[m, s, 1]
     return CoeffField(bandwidth, vals)
 
 
 def synthesize_on(coeffs: CoeffField, q: DiskQuadrature) -> PolarSamples:
-    """Evaluate the truncated expansion on a quadrature grid."""
-    basis = _basis_cached(q.bandwidth, coeffs.bandwidth)
-    flat = np.array([c for _, _, c in coeffs.iter_modes()])
-    return PolarSamples(q, np.tensordot(flat, basis, axes=(0, 0)))
+    """Evaluate the truncated expansion on a quadrature grid.
+
+    Per order m, the radial table turns the coefficients of u - v = +m and
+    -m into two radial profiles, added into angular bins m and -m mod M;
+    an inverse FFT along phi finishes the sum.  Folding the orders mod M
+    is exact at the grid angles, so fields of any bandwidth up to N_MAX
+    are evaluated correctly, not only those the quadrature integrates.
+    """
+    n = coeffs.bandwidth
+    table = _radial_table(q.bandwidth, n)
+    m, s = _orders(n)
+    c = np.zeros(table.shape[:2] + (2,), dtype=complex)
+    c[m, s, 0] = coeffs.values[s + m, s]
+    c[m, s, 1] = coeffs.values[s, s + m]
+    c[0, :, 1] = 0  # order 0 has one family, already in column 0
+    profiles = np.matmul(table.transpose(0, 2, 1), c.view(float)).view(complex)
+    order = np.arange(n + 1)
+    bins = np.zeros((q.n_radial, q.n_angular), dtype=complex)
+    np.add.at(bins.T, order % q.n_angular, profiles[:, :, 0])
+    np.add.at(bins.T, -order % q.n_angular, profiles[:, :, 1])
+    # norm="forward" leaves the inverse unscaled: the plain sum over bins.
+    return PolarSamples(q, np.fft.ifft(bins, axis=1, norm="forward"))
 
 
 def synthesize(coeffs: CoeffField, points) -> np.ndarray:

@@ -173,6 +173,47 @@ class TestAnalyzeSynthesize:
         assert abs(f.get(u, v) - 1.0) <= 1e-12
 
 
+class TestFFTTransform:
+    def test_bandwidth_above_quadrature_folds_exactly(self):
+        # Orders beyond M/2 alias onto other FFT bins; at the grid angles
+        # e^{i m phi_k} is M-periodic in m, so the fold is exact there.
+        rng = np.random.default_rng(8)
+        q = build_quadrature(5)
+        f = random_field(rng, 20)
+        got = synthesize_on(f, q).values
+        rr, pp = np.meshgrid(q.r, q.phi, indexing="ij")
+        want = synthesize_rphi(f, rr, pp)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_roundtrip_at_degree_cap(self):
+        from wzernike.basis import modes_upto
+
+        rng = np.random.default_rng(60)
+        n = 60
+        q = build_quadrature(n)
+        f = random_field(rng, n)
+        samples = synthesize_on(f, q)
+        back = analyze(samples, q, n)
+        assert max_abs_diff(back, f) <= 1e-11 * np.max(np.abs(f.values))
+        modes = modes_upto(n)
+        weights = q.w[:, None] * q.angular_weight
+        for i in rng.choice(len(modes), size=12, replace=False):
+            mode = modes[i]
+            grid = w_eval_grid(mode, q.r, q.phi)
+            direct = complex(np.sum(np.conj(grid) * samples.values * weights))
+            assert abs(back.get(mode.u, mode.v) - direct) <= 1e-11 * abs(direct)
+
+    def test_radial_table_cache_is_bounded(self):
+        from wzernike.transform import _radial_table
+
+        rng = np.random.default_rng(4)
+        for n in range(40, 48):
+            synthesize_on(random_field(rng, n), build_quadrature(n + 2))
+        info = _radial_table.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+
+
 class TestRaster:
     def test_image_validation(self):
         with pytest.raises(ValueError, match="finite and non-negative"):
