@@ -70,45 +70,36 @@ def apply_generator(g: Generator, f: CoeffField) -> CoeffField:
     return CoeffField(n_out, out)
 
 
-def p_alpha(u: int, v: int) -> float:
-    return (u + 1) / math.sqrt((u + v + 1) * (u + v + 2))
+def p_weights(bandwidth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of P = r exp(i phi) as grids over u, v <= bandwidth.
 
-
-def p_beta(u: int, v: int) -> float:
-    if v == 0:
-        return 0.0
-    return v / math.sqrt((u + v) * (u + v + 1))
+    P sends f_{u,v} to alpha_{u,v} f at (u+1, v) plus beta_{u,v} f at
+    (u, v-1), where, with n = u+v, alpha = (u+1)/sqrt((n+1)(n+2)) and
+    beta = v/sqrt(n(n+1)), zero on v = 0.
+    """
+    u = np.arange(bandwidth + 1)[:, None]
+    v = np.arange(bandwidth + 1)[None, :]
+    n = u + v
+    alpha = (u + 1) / np.sqrt((n + 1) * (n + 2))
+    beta = np.zeros(n.shape)
+    beta[:, 1:] = v[:, 1:] / np.sqrt(n[:, 1:] * (n[:, 1:] + 1))
+    return alpha, beta
 
 
 def apply_p(f: CoeffField) -> CoeffField:
-    """Coefficient-space action of multiplication by r exp(i phi)."""
+    """Coefficient-space action of multiplication by r exp(i phi).
+
+    One update per shifted slice; a result that overflows raises ValueError.
+    """
     n = f.bandwidth
     if n + 1 > BANDWIDTH_CAP:
         raise ValueError(f"bandwidth cap {BANDWIDTH_CAP} exceeded")
+    alpha, beta = p_weights(n)
     out = np.zeros((n + 2, n + 2), dtype=complex)
-    for u, v, c in f.iter_modes():
-        if c == 0:
-            continue
-        out[u + 1, v] += p_alpha(u, v) * c
-        if v > 0:
-            out[u, v - 1] += p_beta(u, v) * c
-    return CoeffField(n + 1, out)
-
-
-def falling(x: float, n: int) -> float:
-    """Falling factorial x (x-1) ... (x-n+1); empty product is 1."""
-    out = 1.0
-    for k in range(n):
-        out *= x - k
-    return out
-
-
-def rising(x: float, n: int) -> float:
-    """Rising factorial (Pochhammer) x (x+1) ... (x+n-1)."""
-    out = 1.0
-    for k in range(n):
-        out *= x + k
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[1:, : n + 1] += alpha * f.values
+        out[: n + 1, :n] += beta[:, 1:] * f.values[:, 1:]
+    return CoeffField(n + 1, _finite(out))
 
 
 @dataclass(frozen=True)
@@ -133,43 +124,103 @@ class OperatorSpec:
         return cls(tuple(monomials))
 
 
-def monomial_g(u: int, v: int, alpha: tuple[int, int, int],
-               beta: tuple[int, int, int]) -> float:
-    """Scalar picked up by the ordered monomial acting on mode (u, v).
+def _half_power(i: np.ndarray, e: int) -> np.ndarray:
+    """(i + 1/2)^e through C pow, as Python's float ** rounds it.
 
-    (u-a3+1)^(a1) (u-a3+1/2)^a2 (u)_a3 * (v-b3+1)^(b1) (v-b3+1/2)^b2 (v)_b3,
-    in rising/falling factorial notation.  Vanishes via (u)_a3 whenever
-    a3 > u, so annihilation always precedes escape to negative indices.
+    numpy's vectorised power can differ from it in the last bit once the
+    power is inexact (from e = 7 on bases up to 128.5); an overflow gives
+    inf.
     """
-    a1, a2, a3 = alpha
-    b1, b2, b3 = beta
-    return (
-        rising(u - a3 + 1, a1)
-        * (u - a3 + 0.5) ** a2
-        * falling(u, a3)
-        * rising(v - b3 + 1, b1)
-        * (v - b3 + 0.5) ** b2
-        * falling(v, b3)
-    )
+    out = []
+    for x in (i + 0.5).tolist():
+        try:
+            out.append(x**e)
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
 
 
-def apply_monomial(m: UEAMonomial, f: CoeffField) -> CoeffField:
-    """Apply one ordered monomial through its closed-form coefficient."""
-    a1, _, a3 = m.alpha
-    b1, _, b3 = m.beta
-    shift = a1 - a3 + b1 - b3
-    n_out = max(0, f.bandwidth + shift)
-    if f.bandwidth + a1 + b1 > BANDWIDTH_CAP:
-        raise ValueError(f"bandwidth cap {BANDWIDTH_CAP} exceeded")
+def _family_factors(k: int, exps: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+    """One family's factors of g on the k surviving indices x = x3 .. x3+k-1.
+
+    With i = x - x3: the rising factorial (i+1)^(x1), the power
+    (i+1/2)^x2 and the falling factorial (x)_x3, each a float array.
+    """
+    x1, x2, x3 = exps
+    i = np.arange(k)
+    rising = np.ones(k)
+    for j in range(x1):
+        rising *= i + 1 + j
+    falling = np.ones(k)
+    for j in range(x3):
+        falling *= i + x3 - j
+    return rising, _half_power(i, x2), falling
+
+
+def monomial_g(bandwidth: int, alpha: tuple[int, int, int],
+               beta: tuple[int, int, int]) -> np.ndarray:
+    """Scalar picked up by the ordered monomial on every surviving mode.
+
+    g(u, v) = (u-a3+1)^(a1) (u-a3+1/2)^a2 (u)_a3 * (v-b3+1)^(b1)
+    (v-b3+1/2)^b2 (v)_b3, in rising/falling factorial notation.  A mode
+    with u < a3 or v < b3 is annihilated, so only the block u = a3 ..
+    bandwidth-b3, v = b3 .. bandwidth-a3 (the modes of degree <= bandwidth
+    that survive) is evaluated; entry [i, j] is g(a3+i, b3+j).  The block
+    is empty when a3 + b3 > bandwidth.  An entry that overflows reads inf,
+    or nan where a power that underflowed to 0 meets one that overflowed.
+    """
+    k = bandwidth - alpha[2] - beta[2] + 1
+    if k <= 0:
+        # Return before looping over a3 or b3, which a spec may set to any size.
+        return np.zeros((0, 0))
+    ru, pu, fu = _family_factors(k, alpha)
+    rv, pv, fv = _family_factors(k, beta)
+    # Left to right, in the order of the formula, so the rounding of every
+    # product is fixed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.multiply.outer(ru * pu * fu, rv)
+        g *= pv
+        g *= fv
+    return g
+
+
+def apply_operator(op: OperatorSpec, f: CoeffField) -> CoeffField:
+    """Sum of the monomial actions; the empty spec is the zero operator.
+
+    Each monomial adds c * g * f[a3:, b3:] into one output array as a
+    slice at [a1:, b1:], in spec order.  Modes whose coefficient is zero
+    contribute nothing, even where g overflows.  A spec whose raising
+    exponents take the field past BANDWIDTH_CAP, or whose result is not
+    finite, raises ValueError.
+    """
+    n = f.bandwidth
+    for m in op.monomials:
+        if n + m.alpha[0] + m.beta[0] > BANDWIDTH_CAP:
+            raise ValueError(f"bandwidth cap {BANDWIDTH_CAP} exceeded")
+    n_out = max([0] + [n + m.alpha[0] - m.alpha[2] + m.beta[0] - m.beta[2]
+                       for m in op.monomials])
     out = np.zeros((n_out + 1, n_out + 1), dtype=complex)
-    for u, v, c in f.iter_modes():
-        if c == 0:
-            continue
-        g = monomial_g(u, v, m.alpha, m.beta)
-        if g == 0:
-            continue
-        out[u + a1 - a3, v + b1 - b3] += m.c * g * c
-    return CoeffField(n_out, out)
+    for m in op.monomials:
+        a1, _, a3 = m.alpha
+        b1, _, b3 = m.beta
+        g = monomial_g(n, m.alpha, m.beta)
+        k = g.shape[0]
+        src = f.values[a3 : a3 + k, b3 : b3 + k]
+        g[src == 0] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            # c g f from real parts, rounded as Python rounds the scalar
+            # product (c g) f; numpy's complex multiply may fuse it (FMA).
+            cr, ci = m.c.real * g, m.c.imag * g
+            out.real[a1 : a1 + k, b1 : b1 + k] += cr * src.real - ci * src.imag
+            out.imag[a1 : a1 + k, b1 : b1 + k] += cr * src.imag + ci * src.real
+    return CoeffField(n_out, _finite(out))
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """values, or ValueError if any entry overflowed to inf or nan."""
+    if not np.isfinite(values).all():
+        raise ValueError("the operator result overflows: non-finite coefficients")
+    return values
 
 
 def apply_monomial_composed(m: UEAMonomial, f: CoeffField) -> CoeffField:
@@ -187,14 +238,6 @@ def apply_monomial_composed(m: UEAMonomial, f: CoeffField) -> CoeffField:
         for _ in range(count):
             out = apply_generator(g, out)
     return m.c * out
-
-
-def apply_operator(op: OperatorSpec, f: CoeffField) -> CoeffField:
-    """Sum of the monomial actions; the empty spec is the zero operator."""
-    out = CoeffField.zeros(0)
-    for m in op.monomials:
-        out = out + apply_monomial(m, f)
-    return out
 
 
 _EXPECTED_COMMUTATORS: dict[tuple[Generator, Generator], tuple[float, Generator | None]] = {

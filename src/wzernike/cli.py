@@ -256,8 +256,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
-        print(f"wzernike {args.command}: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        print(f"wzernike {args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -25,24 +25,36 @@ P_MAX = 8
 _EPS = 1e-12
 
 
-def _degree_weights(f: CoeffField) -> np.ndarray:
-    uu, vv = np.indices(f.values.shape)
+def _degree_weights(bandwidth: int) -> np.ndarray:
+    """The (u+v+1) grid over u, v <= bandwidth, as floats."""
+    uu, vv = np.indices((bandwidth + 1, bandwidth + 1))
     return (uu + vv + 1).astype(float)
+
+
+def _norm_p(values: np.ndarray, w: np.ndarray, p: int) -> float:
+    """||f||_p of coefficients `values`, with w a (u+v+1) grid covering them."""
+    k = values.shape[0]
+    return float(np.sqrt(np.sum(np.abs(values * w[:k, :k] ** p) ** 2)))
+
+
+def _norm_1q(values: np.ndarray, w: np.ndarray, q: int) -> float:
+    """||f||_(1,q) of coefficients `values`, with w as in `_norm_p`."""
+    k = values.shape[0]
+    return float(np.sum(np.abs(values) * w[:k, :k] ** q))
 
 
 def norm_p(f: CoeffField, p: int) -> float:
     """sqrt(sum |f_{u,v}|^2 (u+v+1)^(2p)); p = 0 is the plain l2 norm."""
     if not 0 <= p <= P_MAX:
         raise ValueError(f"norm index p must be in 0..{P_MAX}")
-    w = _degree_weights(f) ** p
-    return float(np.sqrt(np.sum(np.abs(f.values * w) ** 2)))
+    return _norm_p(f.values, _degree_weights(f.bandwidth), p)
 
 
 def norm_1q(f: CoeffField, q: int) -> float:
     """sum |f_{u,v}| (u+v+1)^q; q = 0 is the l1 norm of the coefficients."""
     if not 0 <= q <= P_MAX:
         raise ValueError(f"norm index q must be in 0..{P_MAX}")
-    return float(np.sum(np.abs(f.values) * _degree_weights(f) ** q))
+    return _norm_1q(f.values, _degree_weights(f.bandwidth), q)
 
 
 @dataclass(frozen=True)
@@ -82,6 +94,13 @@ def continuity_report(f: CoeffField, index_max: int = 3) -> NormReport:
     (u+1)(n+2)^p is at most 2^p (n+1)^(p+1); the unit (0,0) field attains
     it.  B+ is the same with v.
     """
+    if index_max + 1 > P_MAX:
+        raise ValueError(f"norm index p must be in 0..{P_MAX}")
+    # One weight grid covers f and every image of f checked below, whose
+    # bandwidth is at most one more.
+    w = _degree_weights(f.bandwidth + 1)
+    p_norms = [_norm_p(f.values, w, p) for p in range(index_max + 2)]
+    q_norms = [_norm_1q(f.values, w, q) for q in range(index_max + 1)]
     checks: list[BoundCheck] = []
     diagonal_and_ladders = (
         Generator.U, Generator.V,
@@ -89,29 +108,29 @@ def continuity_report(f: CoeffField, index_max: int = 3) -> NormReport:
         Generator.B_PLUS, Generator.B_MINUS,
     )
     for g in diagonal_and_ladders:
-        gf = apply_generator(g, f)
+        gf = apply_generator(g, f).values
         for p in range(index_max + 1):
             factor = 2**p if g in RAISING else 1
             scale = f"{factor} " if factor > 1 else ""
             checks.append(
                 BoundCheck(f"||{g.value} f||_{p} <= {scale}||f||_{p + 1}",
-                           norm_p(gf, p), factor * norm_p(f, p + 1))
+                           _norm_p(gf, w, p), factor * p_norms[p + 1])
             )
-    pf = apply_p(f)
+    pf = apply_p(f).values
     for r in range(index_max + 1):
         checks.append(
             BoundCheck(f"||P f||_(1,{r}) <= (2^{r}+1) ||f||_(1,{r})",
-                       norm_1q(pf, r), (2**r + 1) * norm_1q(f, r))
+                       _norm_1q(pf, w, r), (2**r + 1) * q_norms[r])
         )
     grid = build_quadrature(f.bandwidth + 2)
     peak = float(np.max(np.abs(synthesize_on(f, grid).values)))
     checks.append(
         BoundCheck("max |f(r,phi)| <= ||f||_(1,1) / sqrt(pi)",
-                   peak, norm_1q(f, 1) / math.sqrt(math.pi))
+                   peak, _norm_1q(f.values, w, 1) / math.sqrt(math.pi))
     )
     return NormReport(
-        p_norms=tuple(norm_p(f, p) for p in range(index_max + 1)),
-        q_norms=tuple(norm_1q(f, q) for q in range(index_max + 1)),
+        p_norms=tuple(p_norms[: index_max + 1]),
+        q_norms=tuple(q_norms),
         checks=tuple(checks),
     )
 

@@ -18,7 +18,6 @@ from .algebra import (
     Generator,
     OperatorSpec,
     UEAMonomial,
-    apply_monomial,
     apply_monomial_composed,
     apply_operator,
     apply_p,
@@ -83,7 +82,8 @@ def random_field(rng: np.random.Generator, bandwidth: int,
 
 def check_worked_operator_example() -> CheckResult:
     """Monomial a=(3,0,0), b=(1,0,0) on the unit (4,1) field -> exactly 420 at (7,2)."""
-    out = apply_monomial(UEAMonomial(1.0, (3, 0, 0), (1, 0, 0)), CoeffField.basis(4, 1))
+    out = apply_operator(OperatorSpec.of(UEAMonomial(1.0, (3, 0, 0), (1, 0, 0))),
+                         CoeffField.basis(4, 1))
     value = out.get(7, 2)
     leakage = out.l2_norm() ** 2 - abs(value) ** 2
     ok = value == 420 + 0j and leakage == 0.0
@@ -205,7 +205,7 @@ def check_monomial_oracle(bandwidth: int = 6, exp_max: int = 3,
     for alpha in itertools.product(range(exp_max + 1), repeat=3):
         for beta in itertools.product(range(exp_max + 1), repeat=3):
             m = UEAMonomial(1.0, alpha, beta)
-            got = apply_monomial(m, f)
+            got = apply_operator(OperatorSpec.of(m), f)
             want = apply_monomial_composed(m, f)
             scale = max(1.0, float(np.max(np.abs(want.values))))
             worst = max(worst, max_abs_diff(got, want) / scale)

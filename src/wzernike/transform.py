@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import TWO_PI, ModeIndex, modes_upto, w_bound
+from .basis import TWO_PI, ModeIndex, w_bound
 from .radial import radial_family
 
 
@@ -77,9 +77,11 @@ class CoeffField:
         return complex(self.values[u, v])
 
     def iter_modes(self):
-        """Yield (u, v, f_{u,v}) ascending in u+v, then u."""
-        for mode in modes_upto(self.bandwidth):
-            yield mode.u, mode.v, complex(self.values[mode.u, mode.v])
+        """Yield (u, v, f_{u,v}) ascending in u+v, then u; f is a Python complex."""
+        rows = self.values.tolist()
+        for n in range(self.bandwidth + 1):
+            for u in range(n + 1):
+                yield u, n - u, rows[u][n - u]
 
     def with_bandwidth(self, bandwidth: int) -> "CoeffField":
         """Pad (or shrink, if the tail is zero) to a new bandwidth."""

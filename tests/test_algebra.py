@@ -10,21 +10,17 @@ from wzernike.algebra import (
     OperatorSpec,
     UEAMonomial,
     apply_generator,
-    apply_monomial,
     apply_monomial_composed,
     apply_operator,
     apply_p,
     casimir_apply,
     commutator_residual,
     expected_commutator,
-    falling,
     group_exponential,
     ladder_differential_residual,
     monomial_g,
     ode_mode_residual,
-    p_alpha,
-    p_beta,
-    rising,
+    p_weights,
 )
 from wzernike.basis import DiskPoint, ModeIndex, modes_upto
 from wzernike.transform import CoeffField, build_quadrature, max_abs_diff, synthesize_on
@@ -123,36 +119,101 @@ class TestCasimir:
             casimir_apply("C", CoeffField.zeros(0))
 
 
+def apply_one(m, f):
+    return apply_operator(OperatorSpec.of(m), f)
+
+
+def scalar_g(u, v, alpha, beta):
+    """The closed-form monomial factor at one mode, in Python floats."""
+    def rising(x, k):
+        return math.prod(range(x, x + k), start=1.0)
+
+    def falling(x, k):
+        return math.prod(range(x, x - k, -1), start=1.0)
+
+    (a1, a2, a3), (b1, b2, b3) = alpha, beta
+    return (rising(u - a3 + 1, a1) * (u - a3 + 0.5) ** a2 * falling(u, a3)
+            * rising(v - b3 + 1, b1) * (v - b3 + 0.5) ** b2 * falling(v, b3))
+
+
+def loop_apply_operator(spec, f):
+    """Reference: each monomial mode by mode in Python scalars, then summed."""
+    out = CoeffField.zeros(0)
+    for m in spec.monomials:
+        (a1, _, a3), (b1, _, b3) = m.alpha, m.beta
+        n_out = max(0, f.bandwidth + a1 - a3 + b1 - b3)
+        vals = np.zeros((n_out + 1, n_out + 1), dtype=complex)
+        for u, v, c in f.iter_modes():
+            if c != 0 and u >= a3 and v >= b3:
+                vals[u + a1 - a3, v + b1 - b3] += m.c * scalar_g(u, v, m.alpha, m.beta) * c
+        out = out + CoeffField(n_out, vals)
+    return out
+
+
+def loop_apply_p(f):
+    """Reference: P mode by mode in Python scalars."""
+    n = f.bandwidth
+    out = np.zeros((n + 2, n + 2), dtype=complex)
+    for u, v, c in f.iter_modes():
+        if c != 0:
+            out[u + 1, v] += (u + 1) / math.sqrt((u + v + 1) * (u + v + 2)) * c
+            if v > 0:
+                out[u, v - 1] += v / math.sqrt((u + v) * (u + v + 1)) * c
+    return CoeffField(n + 1, out)
+
+
+def sparse_field(seed, bandwidth, density):
+    rng = np.random.default_rng(seed)
+    f = random_field(rng, bandwidth)
+    return CoeffField(bandwidth, f.values * (rng.random(f.values.shape) < density))
+
+
+exponents = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 8))
+specs = st.lists(
+    st.builds(UEAMonomial,
+              st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+              exponents, exponents),
+    max_size=4,
+).map(lambda ms: OperatorSpec(tuple(ms)))
+
+
 class TestFactorials:
+    # monomial_g(n, alpha, beta)[i, j] is g at (a3 + i, b3 + j).
     def test_falling(self):
-        assert falling(5.0, 3) == 60.0
-        assert falling(2.0, 5) == 0.0
-        assert falling(3.0, 0) == 1.0
+        # (5)_3 = 60 from A-^3 on u = 5; (2)_5 = 0: no mode survives A-^5
+        # below degree 5; the empty product is 1.
+        assert monomial_g(5, (0, 0, 3), (0, 0, 0))[2, 0] == 60.0
+        assert monomial_g(2, (0, 0, 5), (0, 0, 0)).shape == (0, 0)
+        assert apply_one(UEAMonomial(1.0, (0, 0, 5), (0, 0, 0)),
+                         CoeffField.basis(2, 0)).l2_norm() == 0.0
+        assert monomial_g(3, (0, 0, 0), (0, 0, 0))[3, 0] == 1.0
 
     def test_rising(self):
-        assert rising(2.0, 3) == 24.0
-        assert rising(4.0, 0) == 1.0
+        # A+^3 on u = 1 picks up 2*3*4 = 24; no raising leaves 1 on u = 3.
+        assert monomial_g(1, (3, 0, 0), (0, 0, 0))[1, 0] == 24.0
+        assert monomial_g(3, (0, 0, 0), (0, 0, 0))[3, 0] == 1.0
+        assert monomial_g(1, (0, 0, 0), (3, 0, 0))[0, 1] == 24.0
 
 
 class TestMonomials:
     def test_worked_example(self):
         # raising three times in u and once in v from (4, 1) gives
         # 5*6*7 * 2 = 420 landing at (7, 2)
-        assert monomial_g(4, 1, (3, 0, 0), (1, 0, 0)) == 420.0
-        out = apply_monomial(UEAMonomial(1.0, (3, 0, 0), (1, 0, 0)),
-                             CoeffField.basis(4, 1))
+        assert monomial_g(5, (3, 0, 0), (1, 0, 0))[4, 1] == 420.0
+        out = apply_one(UEAMonomial(1.0, (3, 0, 0), (1, 0, 0)),
+                        CoeffField.basis(4, 1))
         assert out.get(7, 2) == 420.0
         assert out.l2_norm() == 420.0
 
     def test_identity_monomial(self):
         f = random_field(np.random.default_rng(3), 4)
-        out = apply_monomial(UEAMonomial(1.0, (0, 0, 0), (0, 0, 0)), f)
+        out = apply_one(UEAMonomial(1.0, (0, 0, 0), (0, 0, 0)), f)
         assert max_abs_diff(out, f) == 0.0
 
     def test_overshoot_lowering_annihilates(self):
-        assert monomial_g(2, 0, (0, 0, 3), (0, 0, 0)) == 0.0
-        out = apply_monomial(UEAMonomial(1.0, (0, 0, 3), (0, 0, 0)),
-                             CoeffField.basis(2, 0))
+        assert monomial_g(2, (0, 0, 3), (0, 0, 0)).shape == (0, 0)
+        out = apply_one(UEAMonomial(1.0, (0, 0, 3), (0, 0, 0)),
+                        CoeffField.basis(2, 0))
         assert out.l2_norm() == 0.0
 
     def test_negative_exponent_rejected(self):
@@ -164,7 +225,7 @@ class TestMonomials:
         for alpha in [(1, 1, 0), (2, 0, 1), (0, 2, 2)]:
             for beta in [(0, 0, 0), (1, 0, 1), (0, 1, 0)]:
                 m = UEAMonomial(0.5 - 1j, alpha, beta)
-                got = apply_monomial(m, f)
+                got = apply_one(m, f)
                 want = apply_monomial_composed(m, f)
                 scale = max(1.0, float(np.max(np.abs(want.values))))
                 assert max_abs_diff(got, want) / scale <= 1e-13
@@ -177,7 +238,7 @@ class TestMonomials:
     @settings(max_examples=100, deadline=None)
     def test_coefficient_formula_on_basis_modes(self, alpha, beta, u, v):
         m = UEAMonomial(1.0, alpha, beta)
-        got = apply_monomial(m, CoeffField.basis(u, v))
+        got = apply_one(m, CoeffField.basis(u, v))
         want = apply_monomial_composed(m, CoeffField.basis(u, v))
         assert max_abs_diff(got, want) <= 1e-9 * max(
             1.0, float(np.max(np.abs(want.values)))
@@ -200,6 +261,59 @@ class TestOperators:
         spec = OperatorSpec.of(m, UEAMonomial(-1.0, (1, 0, 0), (0, 1, 0)))
         assert apply_operator(spec, f).l2_norm() == 0.0
 
+    @given(specs, st.integers(0, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.3, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_mode_loop_bit_for_bit(self, spec, n, seed, density):
+        f = sparse_field(seed, n, density)
+        got = apply_operator(spec, f)
+        want = loop_apply_operator(spec, f)
+        assert got.bandwidth == want.bandwidth
+        assert got.values.tobytes() == want.values.tobytes()
+
+    @given(specs, st.integers(0, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_sum_matches_composition_oracle(self, spec, n, seed):
+        # Covers the empty spec, A-/B- powers beyond the bandwidth and
+        # results narrower than the input; criterion 8's tolerance.
+        f = sparse_field(seed, n, 1.0)
+        got = apply_operator(spec, f)
+        terms = [apply_monomial_composed(m, f) for m in spec.monomials]
+        want = sum(terms, CoeffField.zeros(0))
+        shifts = [m.alpha[0] - m.alpha[2] + m.beta[0] - m.beta[2] for m in spec.monomials]
+        assert got.bandwidth == max([0] + [n + s for s in shifts])
+        scale = max([1.0] + [float(np.max(np.abs(t.values))) for t in terms])
+        assert max_abs_diff(got, want) / scale <= 1e-12
+
+    def test_overflow_is_value_error(self):
+        f = random_field(np.random.default_rng(17), 12)
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="non-finite"):
+                apply_operator(OperatorSpec.of(UEAMonomial(1.0, (0, 400, 0), (0, 0, 0))), f)
+            with pytest.raises(ValueError, match="non-finite"):
+                apply_operator(OperatorSpec.of(UEAMonomial(1e300, (0, 0, 0), (0, 0, 0))),
+                               1e300 * f)
+
+    def test_zero_coefficients_never_meet_an_overflowed_factor(self):
+        # (u + 1/2)^400 overflows for u >= 6, but only the (0, 0) mode is set.
+        f = CoeffField.basis(0, 0, bandwidth=12)
+        out = apply_operator(OperatorSpec.of(UEAMonomial(1.0, (0, 400, 0), (0, 0, 0))), f)
+        assert out.get(0, 0) == 0.5**400
+        assert out.l2_norm() == 0.5**400
+
+    def test_huge_lowering_exponent_annihilates_at_once(self):
+        f = random_field(np.random.default_rng(18), 8)
+        spec = OperatorSpec.of(UEAMonomial(1.0, (0, 0, 10**9), (0, 0, 0)))
+        out = apply_operator(spec, f)
+        assert out.bandwidth == 0 and out.l2_norm() == 0.0
+
+    def test_bandwidth_cap_checked_for_every_monomial(self):
+        f = CoeffField.zeros(BANDWIDTH_CAP - 1)
+        spec = OperatorSpec.of(UEAMonomial(1.0, (0, 0, 0), (0, 0, 0)),
+                               UEAMonomial(1.0, (1, 0, 0), (1, 0, 0)))
+        with pytest.raises(ValueError, match="cap"):
+            apply_operator(spec, f)
+
     def test_linearity_in_field(self):
         rng = np.random.default_rng(8)
         f, g = random_field(rng, 4), random_field(rng, 4)
@@ -214,15 +328,25 @@ class TestOperators:
 
 class TestMultiplicationOperator:
     def test_shift_coefficients(self):
-        assert p_alpha(0, 0) == pytest.approx(1 / math.sqrt(2))
-        assert p_beta(0, 0) == 0.0
-        assert p_beta(2, 1) == pytest.approx(1 / (2 * math.sqrt(3)))
+        alpha, beta = p_weights(3)
+        assert alpha[0, 0] == pytest.approx(1 / math.sqrt(2))
+        assert beta[0, 0] == 0.0
+        assert beta[2, 1] == pytest.approx(1 / (2 * math.sqrt(3)))
+        out = apply_p(CoeffField.basis(2, 1))
+        assert out.get(3, 1) == alpha[2, 1]
+        assert out.get(2, 0) == beta[2, 1]
 
     def test_coefficients_bounded_by_one(self):
-        for u in range(20):
-            for v in range(20):
-                assert 0.0 < p_alpha(u, v) <= 1.0
-                assert 0.0 <= p_beta(u, v) < 1.0
+        alpha, beta = p_weights(19)
+        assert alpha.shape == beta.shape == (20, 20)
+        assert np.all((0.0 < alpha) & (alpha <= 1.0))
+        assert np.all((0.0 <= beta) & (beta < 1.0))
+
+    @given(st.integers(0, 20), st.integers(0, 2**32 - 1), st.sampled_from([0.3, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_mode_loop_bit_for_bit(self, n, seed, density):
+        f = sparse_field(seed, n, density)
+        assert apply_p(f).values.tobytes() == loop_apply_p(f).values.tobytes()
 
     def test_matches_pointwise_product(self):
         f = random_field(np.random.default_rng(10), 5)

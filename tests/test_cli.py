@@ -1,16 +1,39 @@
+import hashlib
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wzernike.algebra import OperatorSpec, UEAMonomial
 from wzernike.cli import main
-from wzernike.io import read_coeffs, write_coeffs, write_pgm
+from wzernike.io import read_coeffs, write_coeffs, write_operator_spec, write_pgm
 from wzernike.selfcheck import CheckResult
 from wzernike.transform import CoeffField, disk_pixels, polar_to_raster
 
 
+SPECS = Path(__file__).resolve().parents[1] / "specs"
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def seeded_field(rng, n):
+    vals = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+    uu, vv = np.indices(vals.shape)
+    vals[uu + vv > n] = 0
+    return CoeffField(n, vals)
+
+
+def seeded_spec(rng, count):
+    return OperatorSpec(tuple(
+        UEAMonomial(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                    tuple(int(e) for e in rng.integers(0, 3, 3)),
+                    tuple(int(e) for e in rng.integers(0, 3, 3)))
+        for _ in range(count)
+    ))
 
 
 class TestEval:
@@ -72,6 +95,54 @@ class TestApply:
         assert run("apply", "--coeffs", str(tmp_path / "nope"),
                    "--spec", str(tmp_path / "nope"),
                    "--output", str(tmp_path / "out")) == 2
+
+    def _apply_field(self, tmp_path, field, spec_path):
+        coeffs, out = tmp_path / "in.coeffs", tmp_path / "out.coeffs"
+        write_coeffs(coeffs, field)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("--quiet", "apply", "--coeffs", str(coeffs),
+                       "--spec", str(spec_path), "--output", str(out))
+        return code, out
+
+    # sha256 of the output file, recorded before the vectorised kernel:
+    # coefficient files stay byte-identical.
+    def test_diagonal_blend_output_bytes_pinned(self, tmp_path):
+        field = seeded_field(np.random.default_rng(16), 16)
+        code, out = self._apply_field(tmp_path, field, SPECS / "diagonal_blend.spec")
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4f5444f382779f1a21db65734500fd8d7759e93fd4c1506476579812fa30a1cb")
+
+    def test_eight_monomial_output_bytes_pinned(self, tmp_path):
+        rng = np.random.default_rng(40)
+        field = seeded_field(rng, 40)
+        write_operator_spec(tmp_path / "op.spec", seeded_spec(rng, 8))
+        code, out = self._apply_field(tmp_path, field, tmp_path / "op.spec")
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "99f0bff0632e7ec7987b67129fe8ba9e7e65f700c59525f04fd32566549c0b78")
+
+    def test_overflowing_power_is_data_error(self, tmp_path, capsys):
+        # (u + 1/2)^400 overflows from u = 6 on.
+        spec = tmp_path / "op.spec"
+        spec.write_text("1.0 0.0 0 400 0 0 0 0\n")
+        field = seeded_field(np.random.default_rng(12), 12)
+        code, out = self._apply_field(tmp_path, field, spec)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite" in err
+        assert not out.exists()
+
+    def test_overflowing_product_is_data_error(self, tmp_path, capsys):
+        spec = tmp_path / "op.spec"
+        spec.write_text("1e300 0.0 0 0 0 0 0 0\n")
+        field = CoeffField.from_modes({(0, 0): 1e300, (1, 0): 0.5})
+        code, out = self._apply_field(tmp_path, field, spec)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite" in err
+        assert not out.exists()
 
     def test_render_option_writes_pgm(self, tmp_path):
         coeffs = tmp_path / "in.coeffs"
