@@ -5,7 +5,7 @@ the su(1,1) + su(1,1) ladder algebra on coefficient space, rigged-Hilbert-
 space norm families, and an operator-based image pipeline.
 """
 
-from .radial import RadialIndex, RadialPolynomial, build_radial, radial_eval
+from .radial import RadialIndex, RadialPolynomial, radial_eval
 from .basis import DiskPoint, ModeIndex, mode_to_radial, radial_to_mode, w_bound, w_eval
 from .transform import (
     CoeffField,
@@ -14,14 +14,12 @@ from .transform import (
     RasterImage,
     analyze,
     build_quadrature,
-    synthesize,
 )
 from .algebra import Generator, OperatorSpec, UEAMonomial, apply_operator
 
 __all__ = [
     "RadialIndex",
     "RadialPolynomial",
-    "build_radial",
     "radial_eval",
     "DiskPoint",
     "ModeIndex",
@@ -35,7 +33,6 @@ __all__ = [
     "RasterImage",
     "analyze",
     "build_quadrature",
-    "synthesize",
     "Generator",
     "OperatorSpec",
     "UEAMonomial",

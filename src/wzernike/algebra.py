@@ -65,8 +65,8 @@ def apply_generator(g: Generator, f: CoeffField) -> CoeffField:
         out[: n + 1, : n + 1] = (v + 0.5) * vals
     elif g is Generator.V:
         out[: n + 1, : n + 1] = v * vals
-    # Raising may have populated u+v = n_out+? nothing beyond n_out; lowering
-    # keeps the triangle, so the constructor invariant holds.
+    # Raising moves degree n to n + 1 = n_out and lowering keeps the
+    # triangle, so the constructor invariant holds.
     return CoeffField(n_out, out)
 
 

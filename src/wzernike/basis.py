@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radial import RadialIndex, build_radial, radial_eval, validate_index
+from .radial import RadialIndex, radial_eval, validate_index
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,14 +69,14 @@ def w_bound(mode: ModeIndex) -> float:
 def w_eval(mode: ModeIndex, p: DiskPoint) -> complex:
     """Evaluate W_{u,v} at a disk point."""
     n, m = mode.degree, mode.u - mode.v
-    rad = radial_eval(build_radial(RadialIndex(n, m)), p.r)
+    rad = radial_eval(RadialIndex(n, m), p.r)
     return w_bound(mode) * rad * complex(math.cos(m * p.phi), math.sin(m * p.phi))
 
 
 def w_eval_grid(mode: ModeIndex, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """W_{u,v} on the outer product of radial nodes r and angles phi."""
     n, m = mode.degree, mode.u - mode.v
-    rad = radial_eval(build_radial(RadialIndex(n, m)), np.asarray(r, dtype=float))
+    rad = radial_eval(RadialIndex(n, m), np.asarray(r, dtype=float))
     ang = np.exp(1j * m * np.asarray(phi, dtype=float))
     return w_bound(mode) * np.multiply.outer(np.atleast_1d(rad), ang)
 
@@ -88,5 +88,5 @@ def z_eval(index: RadialIndex, signed_m: int, p: DiskPoint) -> float:
             f"signed_m={signed_m} does not select the azimuthal order of {index}"
         )
     m = abs(signed_m)
-    rad = radial_eval(build_radial(index), p.r)
+    rad = radial_eval(index, p.r)
     return rad * (math.cos(m * p.phi) if signed_m >= 0 else math.sin(m * p.phi))

@@ -23,10 +23,10 @@ import numpy as np
 
 from . import io as wio
 from .algebra import apply_operator
-from .basis import DiskPoint, ModeIndex, w_eval
-from .radial import RadialIndex, build_radial, radial_eval
+from .basis import DiskPoint, ModeIndex, mode_to_radial, w_bound, w_eval, z_eval
+from .radial import N_MAX, RadialIndex, radial_eval
 from .rhs import continuity_report
-from .selfcheck import run_all
+from .selfcheck import acceptance_table
 from .transform import (
     CoeffField,
     PolarSamples,
@@ -60,7 +60,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--bandwidth", type=int, default=None,
                         help="truncation bandwidth N (max u+v) for analyze, "
                              f"default {DEFAULT_BANDWIDTH}; for verify, run "
-                             "the suite scaled to N instead of at full size")
+                             f"the suite scaled to N (0..{N_MAX}) instead of "
+                             "at full size")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress informational output")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -93,8 +94,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("norms", help="norm-family report for a coefficient file")
     p.add_argument("--coeffs", required=True)
 
-    p = sub.add_parser("verify", help="run the full property suite")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
+    sub.add_parser("verify", help="run the full property suite")
 
     p = sub.add_parser("plotdata", help="emit (r, phi, Re, Im, abs) grids as CSV")
     p.add_argument("--mode", nargs=2, type=int, metavar=("U", "V"))
@@ -110,7 +110,7 @@ def cmd_eval(args) -> int:
         return EXIT_USAGE
     if args.radial is not None:
         n, m = args.radial
-        value = radial_eval(build_radial(RadialIndex(n, m)), args.r)
+        value = radial_eval(RadialIndex(n, m), args.r)
         print(f"{value:.15g}")
     else:
         u, v = args.mode
@@ -183,7 +183,7 @@ def cmd_norms(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_all(scale=args.bandwidth, inject_fault=args.inject_fault)
+    results = [check() for _, _, check in acceptance_table(args.bandwidth)]
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
@@ -212,8 +212,6 @@ def cmd_plotdata(args) -> int:
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         if args.mode is not None:
-            from .basis import mode_to_radial, w_bound, z_eval
-
             mode = ModeIndex(*args.mode)
             scale = w_bound(mode)
             writer.writerow(["r", "phi", "re", "im", "abs", "z_value", "w_over_z_scale"])

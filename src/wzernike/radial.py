@@ -3,9 +3,10 @@
 Every production evaluation goes through `radial_family`, which runs the
 Jacobi three-term recurrence in degree for one azimuthal order m and
 yields R_m^m, R_{m+2}^m, ... (divided by r^m) over a whole point set in
-one pass.  `build_radial` keeps the explicit integer binomial
-coefficients; they pass 2**53 at n = 46, so they are never evaluated in
-floating point, only exactly, at dyadic radii, by the oracle
+one pass; `radial_eval(index, r)` is its last row for a single (n, m).
+`build_radial` serves only the exact oracle: it keeps the explicit
+integer binomial coefficients, which pass 2**53 at n = 46, so they are
+never evaluated in floating point, only exactly, at dyadic radii, by
 `radial_exact`.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -58,9 +58,8 @@ class RadialPolynomial:
         return tuple(n - 2 * k for k in range(len(self.coeffs)))
 
 
-@lru_cache(maxsize=None)
 def build_radial(index: RadialIndex) -> RadialPolynomial:
-    """Construct R_n^m from the explicit binomial formula.
+    """Construct R_n^m from the explicit binomial formula, for the oracle.
 
     c_k = (-1)^k C(n-k, k) C(n-2k, (n-|m|)/2 - k).  The sum of the signed
     coefficients is exactly 1, so R_n^m(1) = 1 at the integer level, and
@@ -115,11 +114,11 @@ def radial_family(m: int, n_max: int, r):
         yield m + 2 * k, p
 
 
-def radial_eval(poly: RadialPolynomial, r):
+def radial_eval(index: RadialIndex, r):
     """Evaluate R_n^m at r in [-1, 1] (scalar or ndarray): the last row of
     radial_family times r^|m|."""
     r = np.asarray(r, dtype=float)
-    n, m = poly.index.n, abs(poly.index.m)
+    n, m = index.n, abs(index.m)
     for _, row in radial_family(m, n, r):
         pass
     val = row * r**m if m else row
@@ -159,10 +158,10 @@ def recurrence_residual(index: RadialIndex, r):
     if n < 1:
         raise ValueError("recurrence requires n >= 1")
     a, b = recurrence_coefficients(n, m)
-    rhs = a * radial_eval(build_radial(RadialIndex(n + 1, m + 1)), r)
+    rhs = a * radial_eval(RadialIndex(n + 1, m + 1), r)
     if n > m:
-        rhs += b * radial_eval(build_radial(RadialIndex(n - 1, m + 1)), r)
-    return abs(r * radial_eval(build_radial(index), r) - rhs)
+        rhs += b * radial_eval(RadialIndex(n - 1, m + 1), r)
+    return abs(r * radial_eval(index, r) - rhs)
 
 
 def ode_residual(index: RadialIndex, r: float, h: float) -> float:
@@ -176,10 +175,9 @@ def ode_residual(index: RadialIndex, r: float, h: float) -> float:
     if not (h <= r <= 1 - h):
         raise ValueError(f"radius {r} too close to 0 or 1 for step {h}")
     n, m = index.n, abs(index.m)
-    poly = build_radial(index)
-    f0 = radial_eval(poly, r)
-    fp = radial_eval(poly, r + h)
-    fm = radial_eval(poly, r - h)
+    f0 = radial_eval(index, r)
+    fp = radial_eval(index, r + h)
+    fm = radial_eval(index, r - h)
     d1 = (fp - fm) / (2 * h)
     d2 = (fp - 2 * f0 + fm) / (h * h)
     return abs(

@@ -31,16 +31,30 @@ def _degree_weights(bandwidth: int) -> np.ndarray:
     return (uu + vv + 1).astype(float)
 
 
+def _finite_norm(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError("norm overflows the double range")
+    return value
+
+
 def _norm_p(values: np.ndarray, w: np.ndarray, p: int) -> float:
-    """||f||_p of coefficients `values`, with w a (u+v+1) grid covering them."""
+    """||f||_p of coefficients `values`, with w a (u+v+1) grid covering them.
+
+    Scaled by max |f| before squaring, as LAPACK's dnrm2 does, so huge
+    coefficients do not overflow and tiny ones do not underflow to 0.
+    """
     k = values.shape[0]
-    return float(np.sqrt(np.sum(np.abs(values * w[:k, :k] ** p) ** 2)))
+    a = np.abs(values)
+    s = float(np.max(a, initial=0.0))
+    if s == 0.0:
+        return 0.0
+    return _finite_norm(s * float(np.sqrt(np.sum((a / s * w[:k, :k] ** p) ** 2))))
 
 
 def _norm_1q(values: np.ndarray, w: np.ndarray, q: int) -> float:
     """||f||_(1,q) of coefficients `values`, with w as in `_norm_p`."""
     k = values.shape[0]
-    return float(np.sum(np.abs(values) * w[:k, :k] ** q))
+    return _finite_norm(float(np.sum(np.abs(values) * w[:k, :k] ** q)))
 
 
 def norm_p(f: CoeffField, p: int) -> float:

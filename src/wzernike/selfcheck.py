@@ -1,16 +1,18 @@
 """Self-verification suites: every acceptance property, runnable as data.
 
 Each check returns a CheckResult with a worst-case figure so failures are
-diagnosable.  The CLI `verify` subcommand and the acceptance tests both
-drive these functions; `verify --bandwidth` scales the sizes down for a
-quick smoke run.
+diagnosable.  `acceptance_table` lists them once, with the sizes that
+`verify --bandwidth` scales them to for a quick smoke run; the CLI
+`verify` subcommand and the acceptance tests both run that table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,8 +34,8 @@ from .radial import (
     N_MAX,
     RadialIndex,
     build_radial,
-    radial_eval,
     radial_exact,
+    radial_family,
     recurrence_coefficients,
     recurrence_residual,
 )
@@ -107,17 +109,13 @@ def check_gram(bandwidth: int = 16, tol: float = 1e-10) -> CheckResult:
 
 def check_radial_orthogonality(m_max: int = N_MAX, n_max: int = N_MAX,
                                tol: float = 1e-12) -> CheckResult:
-    x, wt = np.polynomial.legendre.leggauss(n_max // 2 + 1)
-    t = (x + 1) / 2
-    r = np.sqrt(t)
-    w = wt / 4
+    q = build_quadrature(n_max // 2)
     worst = 0.0
     for m in range(m_max + 1):
-        degrees = list(range(m, n_max + 1, 2))
-        vals = {n: radial_eval(build_radial(RadialIndex(n, m)), r) for n in degrees}
-        for n in degrees:
-            for n2 in degrees:
-                got = float(np.sum(vals[n] * vals[n2] * w))
+        vals = [(n, row * q.r**m) for n, row in radial_family(m, n_max, q.r)]
+        for n, a in vals:
+            for n2, b in vals:
+                got = float(np.sum(a * b * q.w))
                 want = 1.0 / (2 * (n + 1)) if n == n2 else 0.0
                 worst = max(worst, abs(got - want))
     return _result(f"radial orthogonality m<={m_max}, n<={n_max}", worst, tol)
@@ -143,10 +141,10 @@ def check_oracle_agreement(n_max: int = N_MAX, tol: float = 1e-10) -> CheckResul
     ks = range((1 << j) + 1)
     grid = np.array(ks) / (1 << j)
     worst = 0.0
-    for n in range(n_max + 1):
-        for m in range(n % 2, n + 1, 2):
+    for m in range(n_max + 1):
+        for n, row in radial_family(m, n_max, grid):
+            a = row * grid**m
             poly = build_radial(RadialIndex(n, m))
-            a = radial_eval(poly, grid)
             b = np.array([radial_exact(poly, k, j) for k in ks])
             worst = max(worst, float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)))))
     return _result(
@@ -351,49 +349,42 @@ def check_group_exponential(bandwidth: int = 6, order: int = 12,
     )
 
 
-def acceptance_criteria(scale: int | None = None) -> list[CheckResult]:
-    """All acceptance checks; `scale` shrinks the sizes for a quick run."""
-    if scale is None:
-        return [
-            check_worked_operator_example(),
-            check_gram(),
-            check_radial_orthogonality(),
-            check_normalization(),
-            check_oracle_agreement(),
-            check_recurrence(),
-            check_commutators(),
-            check_casimir(),
-            check_monomial_oracle(),
-            check_multiplication_operator(),
-            check_differential(),
-            check_rhs_bounds(),
-            check_parseval_roundtrip(),
-            check_pipeline(),
-            check_group_exponential(),
-        ]
-    n = max(2, scale)
+def acceptance_table(
+    scale: int | None = None,
+) -> list[tuple[int, str, Callable[[], CheckResult]]]:
+    """Every acceptance check as (criterion number, name, call).
+
+    Without a scale each check runs at its own defaults, the full sizes.
+    A scale N in 0..N_MAX shrinks the sizes for a quick run, with the radial
+    checks to degree 2N; it is checked here, before anything is built.
+    """
+    if scale is not None and not 0 <= scale <= N_MAX:
+        raise ValueError(f"verify scale must be in 0..{N_MAX}, got {scale}")
+    n = max(2, scale or 0)
     top = min(2 * n, N_MAX)
-    return [
-        check_worked_operator_example(),
-        check_gram(bandwidth=n),
-        check_radial_orthogonality(m_max=min(n, 4), n_max=top),
-        check_normalization(n_max=top),
-        check_oracle_agreement(n_max=top),
-        check_recurrence(n_max=min(2 * n, N_MAX - 1)),
-        check_commutators(bandwidth=n),
-        check_casimir(uv_max=n),
-        check_monomial_oracle(bandwidth=min(n, 4), exp_max=2),
-        check_multiplication_operator(bandwidth=n, n_fields=3),
-        check_differential(degree_max=min(n, 4)),
-        check_rhs_bounds(bandwidth=n, n_fields=20),
-        check_parseval_roundtrip(bandwidth=n, n_fields=5),
-        check_pipeline(bandwidth=top, image_bandwidth=n, size=64),
-        check_group_exponential(bandwidth=min(n, 4), order=8),
-    ]
-
-
-def run_all(scale: int | None = None, inject_fault: bool = False) -> list[CheckResult]:
-    results = acceptance_criteria(scale)
-    if inject_fault:
-        results.append(CheckResult("injected fault (harness sanity)", False, "forced"))
-    return results
+    table = (
+        (1, "worked_operator_example", check_worked_operator_example, {}),
+        (2, "gram_identity", check_gram, dict(bandwidth=n)),
+        (3, "radial_orthogonality", check_radial_orthogonality,
+         dict(m_max=min(n, 4), n_max=top)),
+        (4, "unit_normalization", check_normalization, dict(n_max=top)),
+        (5, "oracle_agreement", check_oracle_agreement, dict(n_max=top)),
+        # The recurrence and P each reach one degree above their argument.
+        (6, "degree_mixing_recurrence", check_recurrence,
+         dict(n_max=min(2 * n, N_MAX - 1))),
+        (7, "commutators_and_casimir", check_commutators, dict(bandwidth=n)),
+        (7, "commutators_and_casimir", check_casimir, dict(uv_max=n)),
+        (8, "monomial_oracle", check_monomial_oracle, dict(bandwidth=min(n, 4), exp_max=2)),
+        (9, "multiplication_operator", check_multiplication_operator,
+         dict(bandwidth=min(n, N_MAX - 1), n_fields=3)),
+        (10, "differential_realization", check_differential, dict(degree_max=min(n, 4))),
+        (11, "norm_family_bounds", check_rhs_bounds, dict(bandwidth=n, n_fields=20)),
+        (12, "parseval_and_roundtrip", check_parseval_roundtrip,
+         dict(bandwidth=n, n_fields=5)),
+        (13, "image_pipeline", check_pipeline,
+         dict(bandwidth=top, image_bandwidth=n, size=64)),
+        (14, "group_exponential", check_group_exponential,
+         dict(bandwidth=min(n, 4), order=8)),
+    )
+    return [(number, name, functools.partial(check, **({} if scale is None else kwargs)))
+            for number, name, check, kwargs in table]

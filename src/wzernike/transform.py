@@ -266,13 +266,6 @@ def synthesize_on(coeffs: CoeffField, q: DiskQuadrature) -> PolarSamples:
     return PolarSamples(q, np.fft.ifft(bins, axis=1, norm="forward"))
 
 
-def synthesize(coeffs: CoeffField, points) -> np.ndarray:
-    """Sum f_{u,v} W_{u,v} at arbitrary disk points (list of DiskPoint)."""
-    r = np.array([p.r for p in points])
-    phi = np.array([p.phi for p in points])
-    return synthesize_rphi(coeffs, r, phi)
-
-
 def synthesize_rphi(coeffs: CoeffField, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Pointwise synthesis on paired (r, phi) arrays of equal shape.
 

@@ -9,7 +9,8 @@ import pytest
 from wzernike.algebra import OperatorSpec, UEAMonomial
 from wzernike.cli import main
 from wzernike.io import read_coeffs, write_coeffs, write_operator_spec, write_pgm
-from wzernike.selfcheck import CheckResult
+from wzernike.radial import N_MAX
+from wzernike.selfcheck import CheckResult, acceptance_table
 from wzernike.transform import CoeffField, disk_pixels, polar_to_raster
 
 
@@ -266,6 +267,32 @@ class TestNorms:
         assert run("norms", "--coeffs", str(coeffs)) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    def _norms(self, tmp_path, text):
+        coeffs = tmp_path / "f.coeffs"
+        coeffs.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run("norms", "--coeffs", str(coeffs))
+
+    def test_huge_coefficients_give_finite_norms(self, tmp_path, capsys):
+        text = "# zernike-coeffs bandwidth=2\n0 0 1e300 0.0\n1 1 1e200 0.0\n"
+        assert self._norms(tmp_path, text) == 0
+        table, bounds = capsys.readouterr().out.split("\n\n", 1)
+        rows = [line.split() for line in table.splitlines()[1:]]
+        assert [row[1] for row in rows] == ["1e+300"] * 4
+        assert [line.split()[-1] for line in bounds.strip().splitlines()] == ["pass"] * 29
+
+    def test_subnormal_coefficient_keeps_nonzero_norm(self, tmp_path, capsys):
+        assert self._norms(tmp_path, "# zernike-coeffs bandwidth=0\n0 0 1e-320 0.0\n") == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:5]]
+        assert [row[1] for row in rows] == ["9.99988867e-321"] * 4
+
+    def test_norm_beyond_double_range_is_data_error(self, tmp_path, capsys):
+        assert self._norms(tmp_path, "# zernike-coeffs bandwidth=4\n2 2 1e308 0.0\n") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["wzernike norms: norm overflows the double range"]
+
 
 class TestVerify:
     def test_scaled_suite_passes(self, capsys):
@@ -280,20 +307,45 @@ class TestVerify:
     def test_bandwidth_16_means_scaled_suite(self, monkeypatch, capsys):
         scales = []
 
-        def fake_run_all(scale=None, inject_fault=False):
+        def fake_table(scale=None):
             scales.append(scale)
-            return [CheckResult("stub", True, "")]
+            return [(1, "stub", lambda: CheckResult("stub", True, ""))]
 
-        monkeypatch.setattr("wzernike.cli.run_all", fake_run_all)
+        monkeypatch.setattr("wzernike.cli.acceptance_table", fake_table)
         assert run("--bandwidth", "16", "verify") == 0
         assert run("verify") == 0
         assert scales == [16, None]
 
-    def test_injected_fault_fails(self, capsys):
-        assert run("--bandwidth", "2", "--quiet", "verify",
-                   "--inject-fault") == 3
+    def test_injected_fault_fails(self, monkeypatch, capsys):
+        def fake_table(scale=None):
+            return [(1, "stub", lambda: CheckResult("stub", True, "")),
+                    (2, "fault", lambda: CheckResult("injected fault", False, "forced"))]
+
+        monkeypatch.setattr("wzernike.cli.acceptance_table", fake_table)
+        assert run("--bandwidth", "2", "--quiet", "verify") == 3
         out = capsys.readouterr().out
         assert "FAIL" in out
+        assert "stub" not in out
+
+    @pytest.mark.parametrize("scale", ["61", "-1"])
+    def test_scale_outside_degree_range_is_rejected_before_any_check(
+            self, scale, monkeypatch, capsys):
+        def gram_must_not_run(*args, **kwargs):
+            raise AssertionError("check_gram ran for an invalid scale")
+
+        monkeypatch.setattr("wzernike.selfcheck.check_gram", gram_must_not_run)
+        assert run("--bandwidth", scale, "verify") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"wzernike verify: verify scale must be in 0..{N_MAX}, got {scale}"]
+
+    def test_p_check_clamped_below_degree_cap_at_largest_scale(self):
+        rows = [row for row in acceptance_table(N_MAX) if row[0] == 9]
+        assert len(rows) == 1
+        check = rows[0][2]
+        assert check.keywords == {"bandwidth": N_MAX - 1, "n_fields": 3}
+        assert check().passed
 
 
 class TestPlotdata:

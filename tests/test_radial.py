@@ -68,23 +68,23 @@ class TestBuild:
 
 class TestEval:
     def test_value_at_one(self):
-        assert radial_eval(build_radial(RadialIndex(6, 2)), 1.0) == 1.0
+        assert radial_eval(RadialIndex(6, 2), 1.0) == 1.0
 
     def test_defocus_half(self):
-        assert radial_eval(build_radial(RadialIndex(2, 0)), 0.5) == -0.5
+        assert radial_eval(RadialIndex(2, 0), 0.5) == -0.5
 
     def test_coma_negative_argument(self):
         # R_3^1 = 3 r^3 - 2 r: -0.625 at 0.5, parity flips the sign
-        poly = build_radial(RadialIndex(3, 1))
-        assert radial_eval(poly, 0.5) == pytest.approx(-0.625, abs=1e-15)
-        assert radial_eval(poly, -0.5) == pytest.approx(0.625, abs=1e-15)
+        index = RadialIndex(3, 1)
+        assert radial_eval(index, 0.5) == pytest.approx(-0.625, abs=1e-15)
+        assert radial_eval(index, -0.5) == pytest.approx(0.625, abs=1e-15)
 
     def test_domain_rejection(self):
         with pytest.raises(ValueError, match="domain"):
-            radial_eval(build_radial(RadialIndex(2, 0)), 1.5)
+            radial_eval(RadialIndex(2, 0), 1.5)
 
     def test_array_input(self):
-        vals = radial_eval(build_radial(RadialIndex(2, 0)), np.array([0.0, 0.5, 1.0]))
+        vals = radial_eval(RadialIndex(2, 0), np.array([0.0, 0.5, 1.0]))
         assert np.allclose(vals, [-1.0, -0.5, 1.0])
 
     @given(
@@ -98,11 +98,11 @@ class TestEval:
         m = min(2 * (m_half // 2) + (m_half % 2), n)
         if (n - m) % 2:
             m -= 1
-        poly = build_radial(RadialIndex(n, m))
-        left = radial_eval(poly, -r)
-        right = (-1) ** n * radial_eval(poly, r)
+        index = RadialIndex(n, m)
+        left = radial_eval(index, -r)
+        right = (-1) ** n * radial_eval(index, r)
         assert left == pytest.approx(right, abs=1e-12)
-        assert abs(radial_eval(poly, r)) <= 1 + 1e-12
+        assert abs(radial_eval(index, r)) <= 1 + 1e-12
 
 
 class TestJacobiOracle:
@@ -116,16 +116,17 @@ class TestJacobiOracle:
         assert radial_exact(build_radial(RadialIndex(4, 2)), 1, 1) == -0.5
 
     def test_cross_oracle_agreement(self):
-        poly = build_radial(RadialIndex(10, 4))
-        a = radial_eval(poly, 19 / 64)
-        b = radial_exact(poly, 19, 6)
+        index = RadialIndex(10, 4)
+        a = radial_eval(index, 19 / 64)
+        b = radial_exact(build_radial(index), 19, 6)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
     def test_grid_agreement_high_degree(self):
         grid = np.arange(33) / 32
         for n, m in valid_indices(N_MAX):
-            poly = build_radial(RadialIndex(n, m))
-            a = radial_eval(poly, grid)
+            index = RadialIndex(n, m)
+            a = radial_eval(index, grid)
+            poly = build_radial(index)
             b = np.array([radial_exact(poly, k, 5) for k in range(33)])
             assert np.max(np.abs(a - b) / np.maximum(1, np.abs(b))) <= 1e-10
 
@@ -190,7 +191,7 @@ class TestOrthogonality:
         w = wt / 4
         for m in (0, 3, 8):
             degrees = range(m, n_max + 1, 2)
-            vals = {n: radial_eval(build_radial(RadialIndex(n, m)), r) for n in degrees}
+            vals = {n: radial_eval(RadialIndex(n, m), r) for n in degrees}
             for n in degrees:
                 for n2 in degrees:
                     got = float(np.sum(vals[n] * vals[n2] * w))
@@ -209,8 +210,8 @@ class TestOrthogonality:
             degrees = range(m, n_max + 1, 2)
             for n in degrees:
                 for n2 in degrees:
-                    a = radial_eval(build_radial(RadialIndex(n, m)), r_full)
-                    b = radial_eval(build_radial(RadialIndex(n2, m)), r_full)
+                    a = radial_eval(RadialIndex(n, m), r_full)
+                    b = radial_eval(RadialIndex(n2, m), r_full)
                     got = float(np.sum(a * (n + 1) * b * w_full))
                     want = 1.0 if n == n2 else 0.0
                     assert abs(got - want) <= 1e-12
