@@ -51,7 +51,7 @@ def main():
 
     recon = polar_to_raster(coeffs, args.size, args.size, maxval=65535)
     write_pgm(outdir / "reconstruction.pgm", recon)
-    mask = disk_pixels(args.size, args.size)[0]
+    mask = disk_pixels(args.size)[0]
     a = img.pixels[mask] / img.maxval
     b = recon.pixels[mask] / recon.maxval
     rms = np.sqrt(np.mean((a - b) ** 2)) / np.sqrt(np.mean(a**2))

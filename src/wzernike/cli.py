@@ -28,13 +28,14 @@ from .radial import N_MAX, RadialIndex, radial_eval
 from .rhs import continuity_report
 from .selfcheck import acceptance_table
 from .transform import (
+    MAX_RASTER,
     CoeffField,
     PolarSamples,
     analyze,
     build_quadrature,
-    disk_pixels,
     polar_to_raster,
     raster_to_polar,
+    synthesize_raster,
     synthesize_rphi,
 )
 
@@ -104,6 +105,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_raster(flag: str, value: int) -> None:
+    """Reject a raster side or grid count before anything is allocated."""
+    if not 1 <= value <= MAX_RASTER:
+        raise ValueError(f"{flag} {value} outside 1..{MAX_RASTER}")
+
+
 def cmd_eval(args) -> int:
     if (args.radial is None) == (args.mode is None):
         print("eval: exactly one of --radial or --mode is required", file=sys.stderr)
@@ -134,6 +141,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_apply(args) -> int:
+    _check_raster("--size", args.size)
     coeffs = wio.read_coeffs(args.coeffs)
     spec = wio.read_operator_spec(args.spec)
     out = apply_operator(spec, coeffs)
@@ -147,18 +155,17 @@ def cmd_apply(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    _check_raster("--size", args.size)
     coeffs = wio.read_coeffs(args.coeffs)
     if args.raw:
         size = args.size
-        inside, r, phi = disk_pixels(size, size)
-        vals = np.zeros((size, size), dtype=complex)
-        vals[inside] = synthesize_rphi(coeffs, r, phi)
+        vals = synthesize_raster(coeffs, size)
         with open(args.output, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row", "col", "re", "im", "abs"])
             for i in range(size):
-                for j in range(size):
-                    v = vals[i, j]
+                row = vals[i].tolist()  # Python complex: repr gives plain numbers
+                for j, v in enumerate(row):
                     writer.writerow([i, j, repr(v.real), repr(v.imag), repr(abs(v))])
     else:
         img = polar_to_raster(coeffs, args.size, args.size, maxval=args.maxval)
@@ -200,6 +207,7 @@ def cmd_plotdata(args) -> int:
         print("plotdata: exactly one of --mode or --coeffs is required",
               file=sys.stderr)
         return EXIT_USAGE
+    _check_raster("--grid", args.grid)
     if args.mode is not None:
         u, v = args.mode
         coeffs = CoeffField.basis(u, v)
@@ -217,8 +225,9 @@ def cmd_plotdata(args) -> int:
             writer.writerow(["r", "phi", "re", "im", "abs", "z_value", "w_over_z_scale"])
             idx = mode_to_radial(mode)
             for i in range(args.grid):
+                row = vals[i].tolist()  # Python complex: repr gives plain numbers
                 for j in range(args.grid):
-                    v = vals[i, j]
+                    v = row[j]
                     z = z_eval(RadialIndex(idx.n, abs(idx.m)), idx.m,
                                DiskPoint(float(rr[i, j]), float(pp[i, j])))
                     writer.writerow([rr[i, j], pp[i, j], repr(v.real), repr(v.imag),
@@ -226,8 +235,9 @@ def cmd_plotdata(args) -> int:
         else:
             writer.writerow(["r", "phi", "re", "im", "abs"])
             for i in range(args.grid):
+                row = vals[i].tolist()  # Python complex: repr gives plain numbers
                 for j in range(args.grid):
-                    v = vals[i, j]
+                    v = row[j]
                     writer.writerow([rr[i, j], pp[i, j], repr(v.real), repr(v.imag),
                                      repr(abs(v))])
     if not args.quiet:

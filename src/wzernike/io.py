@@ -8,8 +8,9 @@ P2 (ASCII) and P5 (binary) with maxval up to 65535.
 
 from __future__ import annotations
 
-import cmath
 import io as _io
+from itertools import compress
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -27,37 +28,96 @@ def write_coeffs(path: str | Path, field: CoeffField) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse(tokens: list[str], kind) -> tuple[list, ValueError | None]:
+    """kind() of every token, or of those before the first it rejects,
+    with that error."""
+    try:
+        return list(map(kind, tokens)), None
+    except ValueError:
+        values = []
+        for token in tokens:
+            try:
+                values.append(kind(token))
+            except ValueError as exc:
+                return values, exc
+        raise
+
+
 def read_coeffs(path: str | Path) -> CoeffField:
-    text = Path(path).read_text()
+    """Read a coefficient file; an error names its first bad line.
+
+    Every line is split once, and the line kinds, the token counts and
+    then the four columns are checked whole.  The checks run in the order
+    one line was checked in (token count or header, u, v, sign,
+    duplicate, re, im, finiteness), each on the lines before the first
+    error found so far, so the error reported is the one a line-by-line
+    reader meets first.
+    """
+    lines = Path(path).read_text().splitlines()
+    parts = list(map(str.split, lines))
+    counts = np.fromiter(map(len, parts), dtype=int, count=len(parts))
+    comment = np.zeros(len(parts), dtype=bool)
+    comment[[k for k, p in enumerate(parts) if p and p[0].startswith("#")]] = True
+    data = (counts > 0) & ~comment
+    stop, error = len(lines), None  # lines checked: those before the first error
+    bad = np.flatnonzero(data & (counts != 4))
+    if bad.size:
+        stop = int(bad[0])
+        error = ValueError(f"line {stop + 1}: expected `u v re im`, got {lines[stop]!r}")
     bandwidth = None
-    entries: dict[tuple[int, int], complex] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith(COEFF_HEADER):
+    for k in np.flatnonzero(comment[:stop]):
+        line = lines[k].strip()
+        if line.startswith(COEFF_HEADER):
+            try:
                 bandwidth = int(line[len(COEFF_HEADER):])
                 if bandwidth > BANDWIDTH_CAP:
-                    raise ValueError(
-                        f"line {lineno}: bandwidth {bandwidth} exceeds the cap {BANDWIDTH_CAP}"
-                    )
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected `u v re im`, got {raw!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if u < 0 or v < 0:
-            raise ValueError(f"line {lineno}: negative mode index ({u}, {v})")
-        if (u, v) in entries:
-            raise ValueError(f"line {lineno}: duplicate mode ({u}, {v})")
-        c = complex(float(parts[2]), float(parts[3]))
-        if not cmath.isfinite(c):
-            raise ValueError(f"line {lineno}: non-finite coefficient at ({u}, {v})")
-        entries[(u, v)] = c
+                    raise ValueError(f"line {k + 1}: bandwidth {bandwidth} "
+                                     f"exceeds the cap {BANDWIDTH_CAP}")
+            except ValueError as exc:
+                stop, error = k, exc
+                break
+    rows = list(compress(parts[:stop], data[:stop]))
+    linenos = np.flatnonzero(data[:stop]) + 1
+    us, vs, res, ims = map(list, zip(*rows)) if rows else ([], [], [], [])
+
+    u, exc = _parse(us, int)
+    if exc:
+        error = exc
+    v, exc = _parse(vs[: len(u)], int)
+    if exc:
+        error = exc
+    n = len(v)
+    u = u[:n]
+    if n and min(min(u), min(v)) < 0:
+        n = next(k for k in range(n) if u[k] < 0 or v[k] < 0)
+        error = ValueError(f"line {linenos[n]}: negative mode index ({u[n]}, {v[n]})")
+    modes = list(zip(u[:n], v[:n]))
+    if len(set(modes)) < n:
+        seen = set()
+        n = next(k for k, mode in enumerate(modes) if mode in seen or seen.add(mode))
+        error = ValueError(f"line {linenos[n]}: duplicate mode {modes[n]}")
+    re, exc = _parse(res[:n], float)
+    if exc:
+        error = exc
+    im, exc = _parse(ims[: len(re)], float)
+    if exc:
+        error = exc
+    n = len(im)
+    c = np.empty(n, dtype=complex)
+    c.real, c.imag = re[:n], im
+    finite = np.isfinite(c)
+    if not finite.all():
+        n = int(np.argmin(finite))
+        error = ValueError(f"line {linenos[n]}: non-finite coefficient at {modes[n]}")
+    if error:
+        raise error
     if bandwidth is None:
         raise ValueError("missing `# zernike-coeffs bandwidth=N` header")
-    return CoeffField.from_modes(entries, bandwidth=bandwidth)
+    if bandwidth < max(map(add, u, v), default=0):
+        raise ValueError("entry beyond requested bandwidth")
+    values = np.zeros((bandwidth + 1, bandwidth + 1), dtype=complex)
+    values[u, v] = c
+    return CoeffField(bandwidth, values)
 
 
 OPSPEC_HEADER = "# operator-spec"

@@ -37,38 +37,42 @@ def _finite_norm(value: float) -> float:
     return value
 
 
-def _norm_p(values: np.ndarray, w: np.ndarray, p: int) -> float:
-    """||f||_p of coefficients `values`, with w a (u+v+1) grid covering them.
+def _norms_p(values: np.ndarray, w: np.ndarray, ps) -> list[float]:
+    """||f||_p for each p in ps, with w a (u+v+1) grid covering `values`.
 
     Scaled by max |f| before squaring, as LAPACK's dnrm2 does, so huge
-    coefficients do not overflow and tiny ones do not underflow to 0.
+    coefficients do not overflow and tiny ones do not underflow to 0;
+    |f| and the scale are computed once for all p.
     """
     k = values.shape[0]
     a = np.abs(values)
     s = float(np.max(a, initial=0.0))
     if s == 0.0:
-        return 0.0
-    return _finite_norm(s * float(np.sqrt(np.sum((a / s * w[:k, :k] ** p) ** 2))))
+        return [0.0 for _ in ps]
+    a /= s
+    return [_finite_norm(s * float(np.sqrt(np.sum((a * w[:k, :k] ** p) ** 2))))
+            for p in ps]
 
 
-def _norm_1q(values: np.ndarray, w: np.ndarray, q: int) -> float:
-    """||f||_(1,q) of coefficients `values`, with w as in `_norm_p`."""
+def _norms_1q(values: np.ndarray, w: np.ndarray, qs) -> list[float]:
+    """||f||_(1,q) for each q in qs, with w as in `_norms_p`."""
     k = values.shape[0]
-    return _finite_norm(float(np.sum(np.abs(values) * w[:k, :k] ** q)))
+    a = np.abs(values)
+    return [_finite_norm(float(np.sum(a * w[:k, :k] ** q))) for q in qs]
 
 
 def norm_p(f: CoeffField, p: int) -> float:
     """sqrt(sum |f_{u,v}|^2 (u+v+1)^(2p)); p = 0 is the plain l2 norm."""
     if not 0 <= p <= P_MAX:
         raise ValueError(f"norm index p must be in 0..{P_MAX}")
-    return _norm_p(f.values, _degree_weights(f.bandwidth), p)
+    return _norms_p(f.values, _degree_weights(f.bandwidth), (p,))[0]
 
 
 def norm_1q(f: CoeffField, q: int) -> float:
     """sum |f_{u,v}| (u+v+1)^q; q = 0 is the l1 norm of the coefficients."""
     if not 0 <= q <= P_MAX:
         raise ValueError(f"norm index q must be in 0..{P_MAX}")
-    return _norm_1q(f.values, _degree_weights(f.bandwidth), q)
+    return _norms_1q(f.values, _degree_weights(f.bandwidth), (q,))[0]
 
 
 @dataclass(frozen=True)
@@ -113,8 +117,9 @@ def continuity_report(f: CoeffField, index_max: int = 3) -> NormReport:
     # One weight grid covers f and every image of f checked below, whose
     # bandwidth is at most one more.
     w = _degree_weights(f.bandwidth + 1)
-    p_norms = [_norm_p(f.values, w, p) for p in range(index_max + 2)]
-    q_norms = [_norm_1q(f.values, w, q) for q in range(index_max + 1)]
+    p_norms = _norms_p(f.values, w, range(index_max + 2))
+    # q = 1 also bounds the peak, below
+    q_norms = _norms_1q(f.values, w, range(max(index_max, 1) + 1))
     checks: list[BoundCheck] = []
     diagonal_and_ladders = (
         Generator.U, Generator.V,
@@ -122,29 +127,29 @@ def continuity_report(f: CoeffField, index_max: int = 3) -> NormReport:
         Generator.B_PLUS, Generator.B_MINUS,
     )
     for g in diagonal_and_ladders:
-        gf = apply_generator(g, f).values
+        gf_norms = _norms_p(apply_generator(g, f).values, w, range(index_max + 1))
         for p in range(index_max + 1):
             factor = 2**p if g in RAISING else 1
             scale = f"{factor} " if factor > 1 else ""
             checks.append(
                 BoundCheck(f"||{g.value} f||_{p} <= {scale}||f||_{p + 1}",
-                           _norm_p(gf, w, p), factor * p_norms[p + 1])
+                           gf_norms[p], factor * p_norms[p + 1])
             )
-    pf = apply_p(f).values
+    pf_norms = _norms_1q(apply_p(f).values, w, range(index_max + 1))
     for r in range(index_max + 1):
         checks.append(
             BoundCheck(f"||P f||_(1,{r}) <= (2^{r}+1) ||f||_(1,{r})",
-                       _norm_1q(pf, w, r), (2**r + 1) * q_norms[r])
+                       pf_norms[r], (2**r + 1) * q_norms[r])
         )
     grid = build_quadrature(f.bandwidth + 2)
     peak = float(np.max(np.abs(synthesize_on(f, grid).values)))
     checks.append(
         BoundCheck("max |f(r,phi)| <= ||f||_(1,1) / sqrt(pi)",
-                   peak, _norm_1q(f.values, w, 1) / math.sqrt(math.pi))
+                   peak, q_norms[1] / math.sqrt(math.pi))
     )
     return NormReport(
         p_norms=tuple(p_norms[: index_max + 1]),
-        q_norms=tuple(q_norms),
+        q_norms=tuple(q_norms[: index_max + 1]),
         checks=tuple(checks),
     )
 

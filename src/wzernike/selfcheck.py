@@ -325,7 +325,7 @@ def check_pipeline(bandwidth: int = 16, image_bandwidth: int = 8, size: int = 25
     identity = OperatorSpec.of(UEAMonomial(1.0, (0, 0, 0), (0, 0, 0)))
     coeffs = apply_operator(identity, coeffs)
     out = polar_to_raster(coeffs, size, size, maxval=65535)
-    mask = disk_pixels(size, size)[0]
+    mask = disk_pixels(size)[0]
     a = img.pixels[mask] / img.maxval
     b = out.pixels[mask] / out.maxval
     rms = float(np.sqrt(np.mean((a - b) ** 2)) / np.sqrt(np.mean(a ** 2)))

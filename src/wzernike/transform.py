@@ -11,6 +11,14 @@ angular grid the transform separates (Janssen & Dirksen, JEOS 2007):
 of the bins +m and -m with a small real radial table; `synthesize_on`
 runs the same steps backwards.  The table, sqrt((n+1)/pi) R_n^m at the
 radial nodes, is the only cached state, kept in a bounded cache.
+
+Pointwise synthesis and rendering share one per-order radial sum,
+`_order_sums`.  Rendering (`synthesize_raster`, `polar_to_raster`) uses
+the eight symmetries of the square pixel grid (Chong, Raveendran &
+Mukundan, Pattern Recognition 36, 2003): it evaluates only the disk
+pixels with 0 <= y <= x, runs the radial sums on their distinct radii,
+and writes each value's eight mirror images from one product with a
+fixed table of powers of i.
 """
 
 from __future__ import annotations
@@ -209,6 +217,19 @@ def _orders(bandwidth: int) -> tuple[np.ndarray, np.ndarray]:
     return m[keep], s[keep]
 
 
+def _by_order(coeffs: CoeffField) -> np.ndarray:
+    """c[m, s] = (f_{s+m,s}, f_{s,s+m}) for m + 2s <= bandwidth, the two
+    families of order m, and 0 elsewhere; order 0 has one family, in
+    column 0."""
+    n = coeffs.bandwidth
+    m, s = _orders(n)
+    c = np.zeros((n + 1, n // 2 + 1, 2), dtype=complex)
+    c[m, s, 0] = coeffs.values[s + m, s]
+    c[m, s, 1] = coeffs.values[s, s + m]
+    c[0, :, 1] = 0
+    return c
+
+
 def analyze(samples: PolarSamples, q: DiskQuadrature, bandwidth: int) -> CoeffField:
     """Project samples onto the modes with u+v <= bandwidth.
 
@@ -252,11 +273,7 @@ def synthesize_on(coeffs: CoeffField, q: DiskQuadrature) -> PolarSamples:
     """
     n = coeffs.bandwidth
     table = _radial_table(q.bandwidth, n)
-    m, s = _orders(n)
-    c = np.zeros(table.shape[:2] + (2,), dtype=complex)
-    c[m, s, 0] = coeffs.values[s + m, s]
-    c[m, s, 1] = coeffs.values[s, s + m]
-    c[0, :, 1] = 0  # order 0 has one family, already in column 0
+    c = _by_order(coeffs)
     profiles = np.matmul(table.transpose(0, 2, 1), c.view(float)).view(complex)
     order = np.arange(n + 1)
     bins = np.zeros((q.n_radial, q.n_angular), dtype=complex)
@@ -266,43 +283,52 @@ def synthesize_on(coeffs: CoeffField, q: DiskQuadrature) -> PolarSamples:
     return PolarSamples(q, np.fft.ifft(bins, axis=1, norm="forward"))
 
 
+def _order_sums(coeffs: CoeffField, r: np.ndarray):
+    """Yield (m, sums) for every order m = |u - v| holding a nonzero
+    coefficient, ascending in m.
+
+    sums[0] = sum_s f_{s+m,s} sqrt((n+1)/pi) R_n^m(r) / r^m over the
+    degrees n = m + 2s, from one radial_family pass on r, and sums[1] is
+    the same over f_{s,s+m} (0 at m = 0); shape (2,) + r.shape.  Degrees
+    above the last nonzero coefficient of an order are never evaluated.
+    The field at z = r e^{i phi} is the sum over the orders of
+    sums[0] z^m + sums[1] conj(z)^m.
+    """
+    c = _by_order(coeffs)
+    order, s = np.indices(c.shape[:2])
+    c *= np.sqrt((order + 2 * s + 1) / np.pi)[..., None]  # w_bound of degree m + 2s
+    nonzero = np.any(c != 0, axis=2)
+    for m in map(int, np.flatnonzero(nonzero.any(axis=1))):
+        last = np.flatnonzero(nonzero[m])[-1]
+        # one (2, 1, ...) column per degree, to broadcast against a row of r
+        coef = c[m, : last + 1].reshape((last + 1, 2) + (1,) * r.ndim)
+        sums = np.zeros((2,) + r.shape, dtype=complex)
+        for n, row in radial_family(m, m + 2 * last, r):
+            sums += coef[(n - m) // 2] * row
+        yield m, sums
+
+
 def synthesize_rphi(coeffs: CoeffField, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Pointwise synthesis on paired (r, phi) arrays of equal shape.
 
-    Grouped by order |m|: one radial_family pass accumulates
-    sum_s f_{u,v} sqrt((n+1)/pi) R_n^m / r^m for u - v = +m and for -m,
-    and each sum is then multiplied once by (r e^{+-i phi})^m.  Memory
-    stays O(points); orders and degrees above the last nonzero
-    coefficient are never evaluated.
+    Per order m, the radial sums of `_order_sums` are multiplied once by
+    (r e^{+-i phi})^m.  Memory stays O(points).
     """
     r, phi = np.broadcast_arrays(np.asarray(r, float), np.asarray(phi, float))
     out = np.zeros(r.shape, dtype=complex)
-    vals = coeffs.values
     z = r * np.exp(1j * phi)
     zm = np.ones(r.shape, dtype=complex)
-    for m in range(coeffs.bandwidth + 1):
-        if m:
-            # r^m e^{i m phi} to a few ulp per order, as close as
-            # exp(1j * m * phi) itself, whose argument m * phi is rounded.
+    power = 0
+    for m, (plus, minus) in _order_sums(coeffs, r):
+        # r^m e^{i m phi} to a few ulp per order, as close as
+        # exp(1j * m * phi) itself, whose argument m * phi is rounded.
+        while power < m:
             zm *= z
-        plus = np.diagonal(vals, -m)  # f_{v+m, v}
-        minus = np.diagonal(vals, m)  # f_{v, v+m}
-        nonzero = np.flatnonzero((plus != 0) | (minus != 0))
-        if not nonzero.size:
-            continue
-        acc_plus = np.zeros(r.shape, dtype=complex)
-        acc_minus = np.zeros(r.shape, dtype=complex)
-        for n, row in radial_family(m, m + 2 * nonzero[-1], r):
-            v = (n - m) // 2
-            w = w_bound(ModeIndex(v + m, v))
-            if plus[v] != 0:
-                acc_plus += (w * plus[v]) * row
-            if m and minus[v] != 0:
-                acc_minus += (w * minus[v]) * row
+            power += 1
         if m:
-            acc_plus *= zm
-            acc_plus += acc_minus * np.conj(zm)
-        out += acc_plus
+            plus *= zm
+            plus += minus * np.conj(zm)
+        out += plus
     return out
 
 
@@ -373,36 +399,122 @@ def raster_to_polar(img: RasterImage, q: DiskQuadrature) -> PolarSamples:
     return PolarSamples(q, _bilinear(img, rr, yy))
 
 
-def disk_pixels(width: int, height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pixel centres inside the inscribed disk of a width x height raster.
+# Largest raster side rendered; a MAX_RASTER^2 render at N_MAX stays
+# well under 1 GiB.
+MAX_RASTER = 2048
 
-    Returns the boolean (height, width) mask and, at the masked pixels in
+
+def _pixel_centres(size: int) -> np.ndarray:
+    """Pixel-centre coordinates along either axis of a size x size raster,
+    in units of the inscribed disk's radius; exactly antisymmetric."""
+    half = size / 2.0
+    return (np.arange(size) + 0.5 - half) / half
+
+
+def disk_pixels(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pixel centres inside the inscribed disk of a size x size raster.
+
+    Returns the boolean (size, size) mask and, at the masked pixels in
     row-major order, the polar coordinates (r, phi) of their centres in
     units of the disk radius.
     """
-    cx, cy = width / 2.0, height / 2.0
-    radius = min(width, height) / 2.0
-    x = (np.arange(width) + 0.5 - cx) / radius
-    y = (np.arange(height) + 0.5 - cy) / radius
-    xx, yy = np.meshgrid(x, y)
+    c = _pixel_centres(size)
+    xx, yy = np.meshgrid(c, c)
     rr = np.hypot(xx, yy)
     inside = rr <= 1.0
     return inside, rr[inside], np.arctan2(yy, xx)[inside]
+
+
+def _octant(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The disk pixels with 0 <= y <= x, which represent the whole disk
+    under the eight symmetries of the square.
+
+    Returns their centres x and y, their radius, and the flat raster
+    indices (reps, 8) of their eight images in the order of `_IMAGES`.
+    Row j and column i hold the point (x_i, y_j) of `disk_pixels`; the
+    mirror of index i is size - 1 - i.
+    """
+    c = _pixel_centres(size)
+    half = size // 2  # first index with a centre >= 0
+    j, i = np.triu_indices(size - half)
+    i, j = i + half, j + half
+    r = np.hypot(c[i], c[j])
+    keep = r <= 1.0
+    i, j, r = i[keep], j[keep], r[keep]
+    mi, mj = size - 1 - i, size - 1 - j
+    rows = np.stack((j, i, j, i, mj, mi, mj, mi), axis=1)
+    cols = np.stack((i, j, mi, mj, i, j, mi, mj), axis=1)
+    return c[i], c[j], r, rows * size + cols
+
+
+# The eight images of a representative z0 = x + iy as i^q z0 (conj 0) or
+# i^q conj(z0) (conj 1), in the pixel order of `_octant`: (x, y), (y, x),
+# (-x, y), (-y, x), (x, -y), (y, -x), (-x, -y), (-y, -x).
+_IMAGES = ((0, 0), (1, 1), (2, 1), (1, 0), (0, 1), (3, 0), (2, 0), (3, 1))
+
+
+def _image_phases() -> np.ndarray:
+    """(16, 8) map from the accumulators of `synthesize_raster` to the
+    field at the eight images of a representative z0.
+
+    Accumulator row 4k + 2f + p sums, over the orders m = k (mod 4),
+    family f of `_order_sums` times z0^m (p = 0) or conj(z0)^m (p = 1).
+    At an image z = g w with g = i^q and w = z0 or conj(z0), the terms
+    are sums[0] z^m = g^m sums[0] w^m and sums[1] conj(z)^m =
+    conj(g)^m sums[1] conj(w)^m, and g^m = i^(q k).
+    """
+    powers = np.array([1, 1j, -1, -1j])
+    k = np.arange(4)
+    table = np.zeros((4, 2, 2, 8), dtype=complex)
+    for image, (q, conj) in enumerate(_IMAGES):
+        table[k, 0, conj, image] = powers[q * k % 4]
+        table[k, 1, 1 - conj, image] = powers[-q * k % 4]
+    return table.reshape(16, 8)
+
+
+_PHASES = _image_phases()
+
+
+def synthesize_raster(coeffs: CoeffField, size: int) -> np.ndarray:
+    """The truncated expansion at the pixel centres of a size x size
+    raster, as a complex (size, size) array; 0 outside the inscribed disk.
+
+    The disk is evaluated on one octant of pixels, 0 <= y <= x, and
+    written to all eight images of each.  Per order m, `_order_sums` runs
+    on the distinct radii of the octant, and its sums times z0^m and
+    conj(z0)^m, z0 = x + iy, go into the accumulators of residue m mod 4;
+    one product with `_PHASES` then gives the eight images.
+    """
+    if not 1 <= size <= MAX_RASTER:
+        raise ValueError(f"raster size {size} outside 1..{MAX_RASTER}")
+    x, y, r, images = _octant(size)
+    radii, inverse = np.unique(r, return_inverse=True)
+    z0 = x + 1j * y
+    step = np.stack((z0, np.conj(z0)))
+    powers = np.ones_like(step)  # z0^m and conj(z0)^m
+    acc = np.zeros((4, 2, 2, len(z0)), dtype=complex)
+    power = 0
+    for m, sums in _order_sums(coeffs, radii):
+        while power < m:
+            powers *= step
+            power += 1
+        acc[m % 4] += np.take(sums, inverse, axis=1)[:, None] * powers
+    out = np.zeros(size * size, dtype=complex)
+    out[images] = acc.reshape(16, -1).T @ _PHASES
+    return out.reshape(size, size)
 
 
 def polar_to_raster(coeffs: CoeffField, width: int, height: int,
                     maxval: int = 255, normalize: bool = True) -> RasterImage:
     """Render |synthesize| on the inscribed disk; outside pixels are 0.
 
-    Output is max-normalized to [0, maxval] by default since operator
-    application rescales magnitudes unpredictably.
+    Rasters are square: width must equal height.  Output is
+    max-normalized to [0, maxval] by default since operator application
+    rescales magnitudes unpredictably.
     """
-    if width < 1 or height < 1:
-        raise ValueError("raster size must be at least 1x1")
-    inside, r, phi = disk_pixels(width, height)
-    out = np.zeros((height, width))
-    if inside.any():
-        out[inside] = np.abs(synthesize_rphi(coeffs, r, phi))
+    if width != height:
+        raise ValueError(f"rendered rasters are square, got {width}x{height}")
+    out = np.abs(synthesize_raster(coeffs, width))
     if normalize:
         peak = out.max()
         if peak > 0:

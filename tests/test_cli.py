@@ -7,11 +7,18 @@ import numpy as np
 import pytest
 
 from wzernike.algebra import OperatorSpec, UEAMonomial
+from wzernike.basis import ModeIndex, w_bound
 from wzernike.cli import main
 from wzernike.io import read_coeffs, write_coeffs, write_operator_spec, write_pgm
 from wzernike.radial import N_MAX
 from wzernike.selfcheck import CheckResult, acceptance_table
-from wzernike.transform import CoeffField, disk_pixels, polar_to_raster
+from wzernike.transform import (
+    MAX_RASTER,
+    CoeffField,
+    disk_pixels,
+    polar_to_raster,
+    synthesize_rphi,
+)
 
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
@@ -167,7 +174,7 @@ class TestSynthesize:
         from wzernike.io import read_pgm
 
         img = read_pgm(out)
-        mask = disk_pixels(32, 32)[0]
+        mask = disk_pixels(32)[0]
         assert np.all(img.pixels[mask] == 255)
         assert np.all(img.pixels[~mask] == 0)
 
@@ -180,6 +187,71 @@ class TestSynthesize:
         lines = out.read_text().splitlines()
         assert lines[0] == "row,col,re,im,abs"
         assert len(lines) == 65
+
+    def test_raw_values_match_pointwise_synthesis(self, tmp_path):
+        field = seeded_field(np.random.default_rng(31), 12)
+        coeffs = tmp_path / "f.coeffs"
+        write_coeffs(coeffs, field)
+        out = tmp_path / "f.csv"
+        size = 21
+        assert run("--quiet", "synthesize", "--coeffs", str(coeffs),
+                   "--output", str(out), "--size", str(size), "--raw") == 0
+        rows = np.array([[float(x) for x in line.split(",")]
+                         for line in out.read_text().splitlines()[1:]])
+        assert np.array_equal(rows[:, 0] * size + rows[:, 1], np.arange(size * size))
+        got = (rows[:, 2] + 1j * rows[:, 3]).reshape(size, size)
+        inside, r, phi = disk_pixels(size)
+        want = np.zeros((size, size), dtype=complex)
+        want[inside] = synthesize_rphi(field, r, phi)
+        scale = sum(abs(c) * w_bound(ModeIndex(u, v)) for u, v, c in field.iter_modes())
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+        assert np.allclose(rows[:, 4], np.abs(got).ravel(), rtol=1e-15, atol=0)
+
+
+class TestRasterBounds:
+    """--size and --grid outside 1..MAX_RASTER: one stderr line, exit 2,
+    before anything is read, allocated or written."""
+
+    @pytest.fixture
+    def coeffs(self, tmp_path):
+        path = tmp_path / "f.coeffs"
+        write_coeffs(path, CoeffField.basis(0, 0))
+        return path
+
+    @pytest.mark.parametrize("size", [0, -1, MAX_RASTER + 1])
+    def test_synthesize_size(self, tmp_path, coeffs, capsys, size):
+        for raw in ((), ("--raw",)):
+            out = tmp_path / "f.out"
+            assert run("synthesize", "--coeffs", str(coeffs), "--output", str(out),
+                       "--size", str(size), *raw) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"--size {size} outside 1..{MAX_RASTER}" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("size", [0, -1, MAX_RASTER + 1])
+    def test_apply_size(self, tmp_path, coeffs, capsys, size):
+        out = tmp_path / "o.coeffs"
+        assert run("apply", "--coeffs", str(coeffs), "--spec", str(SPECS / "identity.spec"),
+                   "--output", str(out), "--render", str(tmp_path / "o.pgm"),
+                   "--size", str(size)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--size {size} outside" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [0, -1, MAX_RASTER + 1])
+    def test_plotdata_grid(self, tmp_path, capsys, grid):
+        out = tmp_path / "p.csv"
+        assert run("plotdata", "--mode", "1", "0", "--output", str(out),
+                   "--grid", str(grid)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--grid {grid} outside" in err
+        assert not out.exists()
+
+    def test_largest_size_accepted(self, tmp_path, coeffs):
+        out = tmp_path / "f.pgm"
+        assert run("--quiet", "synthesize", "--coeffs", str(coeffs), "--output", str(out),
+                   "--size", str(MAX_RASTER)) == 0
+        assert out.read_bytes().startswith(f"P5\n{MAX_RASTER} {MAX_RASTER}\n".encode())
 
 
 class TestBadCoeffFiles:
@@ -364,6 +436,8 @@ class TestPlotdata:
         assert run("--quiet", "plotdata", "--coeffs", str(coeffs),
                    "--output", str(out), "--grid", "4") == 0
         assert out.read_text().splitlines()[0] == "r,phi,re,im,abs"
+        for line in out.read_text().splitlines()[1:]:
+            [float(x) for x in line.split(",")]  # plain numbers, not np.float64(...)
 
     def test_requires_exactly_one_source(self):
         assert run("plotdata", "--output", "x.csv") == 1

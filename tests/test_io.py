@@ -68,6 +68,35 @@ class TestCoeffFiles:
         assert f.bandwidth == 3 and f.get(1, 1) == 2.0 - 1.0j
 
 
+    @pytest.mark.parametrize("body, message", [
+        # the first bad line in file order wins, whatever its kind
+        ("0 0 1.0 0.0\n-1 0 1.0 0.0\n0 0 1.0\n", "line 3: negative mode index (-1, 0)"),
+        ("0 0 1.0 0.0\n0 0 nan 0.0\n1 x 1.0 0.0\n", "line 3: duplicate mode (0, 0)"),
+        ("0 0 1.0 0.0\n1 0 inf 0.0\n0 0 1.0 0.0\n", "line 3: non-finite coefficient at (1, 0)"),
+        ("0 0 1.0\n-1 0 1.0 0.0\n", "line 2: expected `u v re im`, got '0 0 1.0'"),
+        ("1 0 x 0.0\n0 0 1.0 0.0\n0 0 1.0 0.0\n", "could not convert string to float: 'x'"),
+        ("0 y 1.0 0.0\nx 0 1.0 0.0\n", "invalid literal for int() with base 10: 'y'"),
+        ("0 0 1.0 0.0\n# zernike-coeffs bandwidth=9999\n0 0 1.0 0.0\n",
+         "line 3: bandwidth 9999 exceeds the cap"),
+        ("99999999999999999999 0 1.0 0.0\n", "entry beyond requested bandwidth"),
+    ])
+    def test_first_error_in_file_order(self, tmp_path, body, message):
+        path = tmp_path / "bad"
+        path.write_text("# zernike-coeffs bandwidth=2\n" + body)
+        with pytest.raises(ValueError) as info:
+            read_coeffs(path)
+        assert str(info.value).startswith(message)
+
+    def test_values_and_zero_entries_read_exactly(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_text("# zernike-coeffs bandwidth=3\n2 1 0.1 -0.0\n"
+                        "\t0  3\t-1e-320 5e300 \n0 0 0.0 0.0\n")
+        f = read_coeffs(path)
+        assert f.bandwidth == 3
+        assert f.get(2, 1) == 0.1 and f.get(0, 3) == complex(-1e-320, 5e300)
+        assert np.count_nonzero(f.values) == 2
+
+
 class TestOperatorSpecFiles:
     def test_roundtrip(self, tmp_path):
         spec = OperatorSpec.of(

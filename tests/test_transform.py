@@ -1,11 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wzernike.basis import DiskPoint, ModeIndex, w_eval_grid
+from wzernike.algebra import apply_operator
+from wzernike.basis import DiskPoint, ModeIndex, w_bound, w_eval_grid
+from wzernike.io import read_operator_spec, write_pgm
 from wzernike.transform import (
+    MAX_RASTER,
     CoeffField,
     PolarSamples,
     RasterImage,
@@ -19,6 +23,7 @@ from wzernike.transform import (
     polar_to_raster,
     raster_to_polar,
     synthesize_on,
+    synthesize_raster,
     synthesize_rphi,
 )
 
@@ -251,7 +256,7 @@ class TestRaster:
 
     def test_render_ground_mode_uniform(self):
         img = polar_to_raster(CoeffField.basis(0, 0), 32, 32, maxval=255)
-        mask = disk_pixels(32, 32)[0]
+        mask = disk_pixels(32)[0]
         assert np.all(img.pixels[mask] == pytest.approx(255.0))
         assert np.all(img.pixels[~mask] == 0.0)
 
@@ -261,7 +266,7 @@ class TestRaster:
 
     def test_render_unnormalized(self):
         img = polar_to_raster(CoeffField.basis(0, 0), 8, 8, normalize=False)
-        mask = disk_pixels(8, 8)[0]
+        mask = disk_pixels(8)[0]
         assert np.all(img.pixels[mask] == pytest.approx(1 / math.sqrt(math.pi)))
 
 
@@ -306,3 +311,66 @@ class TestSynthesizeRphi:
         assert got[0] == pytest.approx(math.sqrt(2 / math.pi))
         with pytest.raises(ValueError, match="domain"):
             synthesize_rphi(padded, np.array([1.5]), np.array([0.0]))
+
+
+def weighted_l1(f):
+    """sum |f_{u,v}| w_bound(u, v), the scale of any pointwise error."""
+    return sum(abs(c) * w_bound(ModeIndex(u, v)) for u, v, c in f.iter_modes())
+
+
+def per_pixel_raster(f, size):
+    """The field at every disk pixel through synthesize_rphi; 0 outside."""
+    inside, r, phi = disk_pixels(size)
+    out = np.zeros((size, size), dtype=complex)
+    out[inside] = synthesize_rphi(f, r, phi)
+    return out
+
+
+class TestOctantRaster:
+    SIZES = (1, 2, 3, 4, 5, 127, 128, 257)
+
+    @pytest.mark.parametrize("n", [0, 1, 16, 40, 60])
+    def test_matches_pointwise_synthesis(self, n):
+        rng = np.random.default_rng(100 + n)
+        dense = random_field(rng, n)
+        vals = dense.values.copy()
+        for m in range(1, n + 1, 3):  # empty orders are skipped, both signs
+            vals[np.arange(n + 1 - m), np.arange(m, n + 1)] = 0
+            if m % 2:
+                vals[np.arange(m, n + 1), np.arange(n + 1 - m)] = 0
+        for f in (dense, CoeffField(n, vals)):
+            scale = weighted_l1(f)
+            for size in self.SIZES:
+                got = synthesize_raster(f, size)
+                want = per_pixel_raster(f, size)
+                assert np.max(np.abs(got - want)) <= 1e-14 * scale, (n, size)
+
+    def test_writes_every_disk_pixel_and_nothing_outside(self):
+        # The ground mode is nonzero everywhere on the disk, so the written
+        # pixels are exactly the nonzero ones.
+        ground = CoeffField.basis(0, 0)
+        for size in list(range(1, 70)) + [127, 128, 255, 256, 257, 511, 512]:
+            got = synthesize_raster(ground, size)
+            assert np.array_equal(got != 0, disk_pixels(size)[0]), size
+
+    def test_pgm_of_operator_output_matches_per_pixel_render(self, tmp_path):
+        from wzernike.selfcheck import make_test_image_field
+
+        spec = read_operator_spec(
+            Path(__file__).resolve().parents[1] / "specs" / "diagonal_blend.spec")
+        out = apply_operator(spec, make_test_image_field(16, seed=5))
+        size = 128
+        want = np.abs(per_pixel_raster(out, size))
+        want *= 255 / want.max()
+        write_pgm(tmp_path / "octant.pgm", polar_to_raster(out, size, size))
+        write_pgm(tmp_path / "pixel.pgm", RasterImage(size, size, want))
+        assert (tmp_path / "octant.pgm").read_bytes() == (tmp_path / "pixel.pgm").read_bytes()
+
+    @pytest.mark.parametrize("size", [0, -1, MAX_RASTER + 1])
+    def test_size_outside_range_rejected(self, size):
+        with pytest.raises(ValueError, match=f"raster size {size} outside"):
+            polar_to_raster(CoeffField.basis(0, 0), size, size)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            polar_to_raster(CoeffField.basis(0, 0), 8, 6)
